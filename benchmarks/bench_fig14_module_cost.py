@@ -6,7 +6,12 @@ the skeleton is cached across queries), evaluation over pre-built PDTs,
 and post-processing (scoring + top-k materialization).
 """
 
-from repro.core.pdt import annotate_skeleton, build_skeleton, generate_pdt
+from repro.core.pdt import (
+    annotate_skeleton,
+    build_skeleton,
+    compress_skeleton,
+    generate_pdt,
+)
 from repro.core.prepare import prepare_inv_lists, prepare_lists
 from repro.core.rewrite import make_pdt_resolver
 from repro.core.scoring import score_results, select_top_k
@@ -35,14 +40,18 @@ def test_pdt_generation(benchmark, efficient):
 
 
 def test_pdt_skeleton_pass(benchmark, efficient):
-    # The keyword-independent half: path probes + the structural merge.
-    # This is the work the skeleton cache tier amortizes across queries.
+    # The keyword-independent half: path probes + the structural merge,
+    # compressed into a skeleton.  This is the work the skeleton cache
+    # tier amortizes across queries.
     view = efficient.get_view("bench")
 
     def build_all():
         return {
-            doc_name: build_skeleton(
-                qpt, efficient.database.get(doc_name).path_index
+            doc_name: compress_skeleton(
+                build_skeleton(
+                    qpt, efficient.database.get(doc_name).path_index
+                ),
+                efficient.shape_table,
             )
             for doc_name, qpt in view.qpts.items()
         }
@@ -55,11 +64,16 @@ def test_pdt_annotation_pass(benchmark, efficient):
     # pre-built skeleton — all that remains on a skeleton-tier hit.
     view = efficient.get_view("bench")
     skeletons = {
-        doc_name: build_skeleton(
-            qpt, efficient.database.get(doc_name).path_index
+        doc_name: compress_skeleton(
+            build_skeleton(qpt, efficient.database.get(doc_name).path_index),
+            efficient.shape_table,
         )
         for doc_name, qpt in view.qpts.items()
     }
+    # Held, as the engine's cached results hold them, so no round
+    # rebuilds a shared tree.
+    trees = [skeleton.tree for skeleton in skeletons.values()]
+    assert trees
 
     def annotate_all():
         return {

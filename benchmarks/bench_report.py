@@ -3,14 +3,14 @@
 Times the three serving regimes of ``bench_x4_skeleton_reuse`` — cold /
 skeleton-warm / fully-warm — plus the annotation microbench pair of
 ``bench_x5_annotation``, the cold-path trio of ``bench_x7_cold_path``
-(legacy per-pattern build / batched array-swept build / snapshot
+(stack-automaton ablation build / array-swept build / snapshot
 restore), the corpus-sharding pair of ``bench_x8_sharding`` (single
 executor vs 4 shard executors over the cache-thrashing corpus, with
 the streaming merge's early-termination counters), the update pair
 of ``bench_x9_updates`` (post-edit query under delta maintenance vs the
-invalidation-storm cold rebuild), the memory pair of
-``bench_x10_memory`` (DAG-compressed vs eager skeleton tier, plus the
-mmap-vs-parse restore race), the fleet pair of ``bench_x11_fleet``
+invalidation-storm cold rebuild), the memory footprint of
+``bench_x10_memory`` (the DAG-compressed skeleton tier and its shape
+table), the fleet pair of ``bench_x11_fleet``
 (peer-warmed first contact over HTTP vs the local cold build) and the
 chaos numbers of ``bench_x12_chaos`` (degraded-mode p50 under a
 one-shard outage, with the availability and recovery evidence), at one
@@ -118,15 +118,15 @@ def _annotation_us(rounds: int) -> dict[str, float]:
         _skeletons_and_lists,
     )
 
-    skeletons, inv_lists = _skeletons_and_lists()
+    skeletons, inv_lists, content_ids = _skeletons_and_lists()
 
     def sweep():
         for doc, skeleton in skeletons.items():
             _merge_join(skeleton, inv_lists[doc])
 
     def bisect():
-        for doc, skeleton in skeletons.items():
-            _per_node_bisect(skeleton, inv_lists[doc])
+        for doc, ids in content_ids.items():
+            _per_node_bisect(ids, inv_lists[doc])
 
     return {
         "scale": X5_PARAMS.data_scale,
@@ -136,7 +136,8 @@ def _annotation_us(rounds: int) -> dict[str, float]:
 
 
 def _cold_path_ms(params: ExperimentParams, rounds: int) -> dict[str, float]:
-    """The bench_x7 trio at one scale: legacy / batched / snapshot restore.
+    """The bench_x7 trio at one scale: stack automaton / swept / snapshot
+    restore.
 
     Delegates to :func:`repro.bench.experiments.measure_cold_path` —
     one measurement protocol shared with the X7 experiment table and the
@@ -146,8 +147,8 @@ def _cold_path_ms(params: ExperimentParams, rounds: int) -> dict[str, float]:
 
     numbers = measure_cold_path(params, rounds)
     return {
-        "legacy_cold_ms": round(numbers["legacy_ms"], 3),
-        "batched_cold_ms": round(numbers["batched_ms"], 3),
+        "stack_cold_ms": round(numbers["stack_ms"], 3),
+        "swept_cold_ms": round(numbers["swept_ms"], 3),
         "speedup": round(numbers["speedup"], 2),
         "snapshot_restore_ms": round(numbers["snapshot_restore_ms"], 3),
     }
@@ -196,8 +197,8 @@ def _updates_ms(rounds: int) -> dict[str, float]:
     }
 
 
-def _memory_numbers(rounds: int) -> dict[str, float]:
-    """The bench_x10 pair: compressed vs eager skeleton tier + restores.
+def _memory_numbers() -> dict[str, float]:
+    """The bench_x10 footprint: skeleton tier + shape table.
 
     Delegates to :func:`repro.bench.experiments.measure_memory` — one
     measurement protocol shared with the X10 experiment table and the
@@ -207,17 +208,9 @@ def _memory_numbers(rounds: int) -> dict[str, float]:
     """
     from repro.bench.experiments import measure_memory
 
-    numbers = measure_memory(rounds=max(4, rounds // 6))
+    numbers = measure_memory()
     return {
-        "compressed_kib": round(numbers["compressed_kib"], 1),
-        "eager_kib": round(numbers["eager_kib"], 1),
-        "memory_reduction": round(numbers["memory_reduction"], 2),
-        "warm_compressed_ms": round(numbers["warm_compressed_ms"], 3),
-        "warm_eager_ms": round(numbers["warm_eager_ms"], 3),
-        "warm_ratio": round(numbers["warm_ratio"], 3),
-        "eager_restore_ms": round(numbers["eager_restore_ms"], 3),
-        "mmap_restore_ms": round(numbers["mmap_restore_ms"], 3),
-        "restore_speedup": round(numbers["restore_speedup"], 2),
+        "skeleton_kib": round(numbers["skeleton_kib"], 1),
         "shapes": numbers["shapes"],
         "shape_hits": numbers["shape_hits"],
     }
@@ -293,7 +286,7 @@ def build_report(scales: list[int], rounds: int, pr: int) -> dict:
         report["annotation"] = _annotation_us(rounds)
     report["sharding"] = _sharding_ms(rounds)
     report["updates"] = _updates_ms(rounds)
-    report["memory"] = _memory_numbers(rounds)
+    report["memory"] = _memory_numbers()
     report["fleet"] = _fleet_numbers(rounds)
     report["chaos"] = _chaos_numbers(rounds)
     return report

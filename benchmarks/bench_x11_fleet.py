@@ -5,13 +5,23 @@ locks down the local cold path.  A warm peer process serves its stored
 v2 snapshot bytes over ``GET /snapshots/<key>``; a cold fleet member
 with an *empty* local snapshot directory acquires the corpus skeleton
 set through a :class:`~repro.core.snapshot_net.NetworkedSkeletonStore`
-(fetch, O(1) structural validation, write-through, mmap restore)
-instead of rebuilding it from path probes (see
-``repro.bench.experiments.measure_fleet`` for the protocol).
+(fetch, O(1) header check, write-through, mmap restore with every
+column decoded and checked) instead of rebuilding it from path probes
+(see ``repro.bench.experiments.measure_fleet`` for the protocol).  Both
+sides are timed to a servable skeleton: compressed, tree built.
 
-``test_fleet_floors_hold`` is the self-enforcing acceptance criterion
-of the fleet PR: peer-warmed first contact is **≥ 3x** faster than the
-local cold build.
+``test_fleet_floors_hold`` is the self-enforcing acceptance criterion:
+cold build time over peer-warmed first-contact time stays **≥ 0.67**.
+Measured that way, fetching from a peer is *slower* than building
+locally on this corpus: the fixed HTTP cost and the column decode
+outweigh the path probes and the structural pass they replace.  The
+floor therefore guards the fetch-and-decode path against regressions
+relative to the build; it sits 4.7% below the median (0.703) of twelve
+runs of the same protocol on the commit before it was introduced (runs
+0.665–0.963).  The earlier "≥ 3x faster" floor timed only an O(1)
+header check on the fleet side, against a build that also assembled
+the tree: every caller decoded the result right after the load, so
+that ratio measured no work a query was spared.
 
 The correctness evidence is deterministic and asserted on every
 attempt — the clock being kind is not enough:
@@ -32,7 +42,7 @@ from __future__ import annotations
 
 from repro.bench.experiments import measure_fleet
 
-FLEET_FLOOR = 3.0
+FLEET_FLOOR = 0.67
 
 
 # -- pytest-benchmark variants (the usual statistics tables) ------------------
@@ -87,16 +97,19 @@ def _fleet_fixture():
 
 
 def test_cold_build_sweep(benchmark):
-    from repro.core.pdt import build_skeleton
+    from repro.core.pdt import build_skeleton, compress_skeleton
+    from repro.core.shapes import ShapeTable
 
     _, serving, database, views, _, names = _fleet_fixture()
+    table = ShapeTable()
     try:
 
         def sweep():
             for i, name in enumerate(names):
-                build_skeleton(
+                columns = build_skeleton(
                     views[i].qpts[name], database.get(name).path_index
                 )
+                compress_skeleton(columns, table).tree
 
         sweep()
         benchmark(sweep)
@@ -105,6 +118,8 @@ def test_cold_build_sweep(benchmark):
 
 
 def test_peer_fetch_sweep(benchmark):
+    from repro.core.pdt import compress_skeleton
+    from repro.core.shapes import ShapeTable
     from repro.core.snapshot import SkeletonStore
     from repro.core.snapshot_net import (
         HTTPSnapshotPeer,
@@ -112,6 +127,7 @@ def test_peer_fetch_sweep(benchmark):
     )
 
     tmp, serving, _, _, keys, _ = _fleet_fixture()
+    table = ShapeTable()
     try:
         state = {"round": 0}
 
@@ -124,7 +140,9 @@ def test_peer_fetch_sweep(benchmark):
                 HTTPSnapshotPeer(serving.url, timeout=30.0),
             )
             for fingerprint, qpt_hash in keys:
-                assert store.load(fingerprint, qpt_hash) is not None
+                columns = store.load(fingerprint, qpt_hash)
+                assert columns is not None
+                compress_skeleton(columns, table).tree
 
         sweep()
         benchmark(sweep)
@@ -136,9 +154,9 @@ def test_peer_fetch_sweep(benchmark):
 
 
 def test_fleet_floors_hold():
-    """Acceptance: peer-warmed first contact ≥ 3x faster than the local
-    cold build — with the evidence that the fast path really was the
-    network path asserted on every attempt.
+    """Acceptance: cold build / peer-warmed first contact ≥ 0.67 — with
+    the evidence that the measured path really was the network path
+    asserted on every attempt.
 
     Up to three measurement attempts: scheduler noise can only *hurt*
     the measured ratio, so the timing floor passes if any attempt

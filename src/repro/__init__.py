@@ -33,6 +33,7 @@ from repro.core.pdt import (
     PDTSkeleton,
     annotate_skeleton,
     build_skeleton,
+    compress_skeleton,
     generate_pdt,
 )
 from repro.core.topk import TopKSelector
@@ -67,6 +68,7 @@ __all__ = [
     "PDTSkeleton",
     "generate_pdt",
     "build_skeleton",
+    "compress_skeleton",
     "annotate_skeleton",
     "QueryCache",
     "TopKSelector",

@@ -10,6 +10,7 @@ from repro.core.pdt import (
     PDTSkeleton,
     annotate_skeleton,
     build_skeleton,
+    compress_skeleton,
     generate_pdt,
 )
 from repro.core.reference import reference_pdt
@@ -38,6 +39,7 @@ __all__ = [
     "PDTResult",
     "PDTSkeleton",
     "build_skeleton",
+    "compress_skeleton",
     "annotate_skeleton",
     "reference_pdt",
     "ScoredResult",

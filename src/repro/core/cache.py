@@ -107,28 +107,12 @@ class CacheStats:
 def default_sizer(value: Any) -> int:
     """Bytes a cached value reports for budget accounting.
 
-    Values expose a ``memory_bytes`` attribute (skeletons — compressed
-    or eager — and mapped snapshots all do); anything without one is
-    accounted as free, so byte budgets constrain exactly the tiers
-    whose values opted into accounting.
+    Values expose a ``memory_bytes`` attribute (skeletons do); anything
+    without one is accounted as free, so byte budgets constrain exactly
+    the tiers whose values opted into accounting.
     """
     size = getattr(value, "memory_bytes", 0)
     return size if isinstance(size, int) else 0
-
-
-def close_value(value: Any) -> None:
-    """The default on-evict hook: release a value that holds resources.
-
-    Values that own something beyond heap memory expose ``close()`` —
-    :class:`repro.core.snapshot.MappedSkeleton` holds an open mmap whose
-    pages and file handle survive until garbage collection otherwise, a
-    real leak on a long-running server whose byte budget keeps churning
-    the skeleton tier.  Everything else (prepared lists, PDTs, result
-    tuples) has no ``close`` and is left to the collector.
-    """
-    close = getattr(value, "close", None)
-    if callable(close):
-        close()
 
 
 class LRUCache:
@@ -146,18 +130,6 @@ class LRUCache:
     budget.  A single value larger than the whole budget is evicted
     immediately — a hard budget, not advisory.  The running total is
     exposed as :attr:`memory_bytes`.
-
-    When the cache drops a value it *owns* — LRU/byte-budget eviction,
-    replacement by a different value under the same key, or
-    displacement by a :meth:`rekey_where` overwrite — it runs
-    ``on_evict`` (default :func:`close_value`) so resource-holding
-    values release deterministically instead of leaking until garbage
-    collection.  *Invalidation* paths (``invalidate_where``/``clear``)
-    deliberately do **not** close: they drop dead-keyed entries that a
-    concurrent in-flight query may legitimately still be reading (a
-    generation bump lands mid-search), whereas eviction only removes
-    the least-recently-used tail the cache alone is keeping alive.
-    Pass ``on_evict=None`` to disable the hook.
     """
 
     def __init__(
@@ -165,12 +137,10 @@ class LRUCache:
         capacity: int,
         byte_budget: Optional[int] = None,
         sizer: Optional[Callable[[Any], int]] = None,
-        on_evict: Optional[Callable[[Any], None]] = close_value,
     ):
         self.capacity = capacity
         self.byte_budget = byte_budget
         self._sizer = sizer or default_sizer
-        self._on_evict = on_evict
         self._data: OrderedDict[Hashable, Any] = OrderedDict()
         self._sizes: dict[Hashable, int] = {}
         self.memory_bytes = 0
@@ -194,23 +164,12 @@ class LRUCache:
     def _forget_size(self, key: Hashable) -> None:
         self.memory_bytes -= self._sizes.pop(key, 0)
 
-    def _release(self, value: Any) -> None:
-        """Run the on-evict hook on a value the cache just dropped."""
-        if self._on_evict is not None:
-            self._on_evict(value)
-
     def put(self, key: Hashable, value: Any) -> None:
         if self.capacity <= 0:
             return
         if key in self._data:
-            replaced = self._data[key]
             self._data.move_to_end(key)
             self._forget_size(key)
-            if replaced is not value:
-                # Entry replacement drops the old value just as finally
-                # as eviction does — same release discipline (the old
-                # mmap handle used to leak here until GC).
-                self._release(replaced)
         self._data[key] = value
         size = self._sizer(value)
         self._sizes[key] = size
@@ -220,15 +179,9 @@ class LRUCache:
         while len(data) > self.capacity or (
             budget is not None and self.memory_bytes > budget and data
         ):
-            evicted_key, evicted_value = data.popitem(last=False)
+            evicted_key, _ = data.popitem(last=False)
             self._forget_size(evicted_key)
             self.stats.evictions += 1
-            if evicted_value is not value:
-                # An over-budget value can evict *itself* on insertion;
-                # the caller still holds (and is about to use) it, so
-                # only drop it — releasing is for values whose last
-                # reference was the cache's.
-                self._release(evicted_value)
 
     def invalidate_where(self, predicate: Callable[[Hashable], bool]) -> int:
         """Drop every entry whose key satisfies ``predicate``."""
@@ -260,9 +213,6 @@ class LRUCache:
             new_key = transform(key)
             if new_key in self._sizes:  # overwrite: drop the old accounting
                 self._forget_size(new_key)
-                displaced = self._data.get(new_key)
-                if displaced is not None and displaced is not value:
-                    self._release(displaced)
             self._data[new_key] = value
             self._sizes[new_key] = size
             moved.append((new_key, value))
@@ -324,7 +274,6 @@ class ShardedLRUCache:
         router: Optional[ShardRouter] = None,
         byte_budget: Optional[int] = None,
         sizer: Optional[Callable[[Any], int]] = None,
-        on_evict: Optional[Callable[[Any], None]] = close_value,
     ):
         self.capacity = capacity
         self.byte_budget = byte_budget
@@ -347,7 +296,7 @@ class ShardedLRUCache:
                 self._distribute(max(byte_budget, 0), self.shard_count)
             )
         self._shards = [
-            LRUCache(capacities[index], budgets[index], sizer, on_evict)
+            LRUCache(capacities[index], budgets[index], sizer)
             for index in range(self.shard_count)
         ]
         self._locks = [threading.Lock() for _ in range(self.shard_count)]

@@ -31,7 +31,6 @@ from typing import Callable, Optional, Sequence, Union
 from repro.core.cache import QueryCache
 from repro.core.materialize import materialize_result
 from repro.core.pdt import (
-    CompressedSkeleton,
     PDTResult,
     PDTSkeleton,
     annotate_skeleton,
@@ -285,7 +284,6 @@ class KeywordSearchEngine:
         snapshot_store: Optional["SkeletonStore"] = None,
         delta_maintenance: bool = True,
         rewarm_on_update: bool = True,
-        dag_compression: bool = True,
         shape_table: Optional[ShapeTable] = None,
     ):
         self.database = database
@@ -295,15 +293,12 @@ class KeywordSearchEngine:
         self._timing_hooks: list[Callable[[str, "SearchOutcome"], None]] = []
         self._views: dict[str, View] = {}
         self._closed = False
-        #: DAG-compress every skeleton entering the skeleton tier (and
-        #: every snapshot restore) against ``shape_table`` — isomorphic
-        #: subtree structures are stored once across all of this
-        #: engine's skeletons.  ``dag_compression=False`` keeps the
-        #: eager uncompressed path (ablation / difftest cross-checks).
-        #: Pass a shared :class:`~repro.core.shapes.ShapeTable` to pool
-        #: structure across engines (the sharded executors do).
-        self.dag_compression = dag_compression
-        if shape_table is None and dag_compression:
+        #: Every skeleton (built or restored) is compressed against
+        #: ``shape_table`` — isomorphic subtree structures are stored
+        #: once across all of this engine's skeletons.  Pass a shared
+        #: :class:`~repro.core.shapes.ShapeTable` to pool structure
+        #: across engines (the sharded executors do).
+        if shape_table is None:
             shape_table = ShapeTable()
         self.shape_table = shape_table
         if cache is None and enable_cache:
@@ -473,27 +468,15 @@ class KeywordSearchEngine:
                 if skeleton is None:
                     restored = store.load(delta.old_fingerprint, qpt_hash)
                     if restored is not None and restored.doc_name == delta.doc_name:
+                        skeleton = compress_skeleton(restored, self.shape_table)
                         patch_skeleton_byte_lengths(
-                            restored, delta.ancestor_keys, delta.length_delta
+                            skeleton, delta.ancestor_keys, delta.length_delta
                         )
-                        skeleton = restored
                 if skeleton is not None:
                     store.save(new_fingerprint, qpt_hash, skeleton)
             store.discard(delta.old_fingerprint, qpt_hash)
 
-    # -- skeleton interning / lifecycle -----------------------------------------
-
-    def _intern_skeleton(
-        self, skeleton: Union[PDTSkeleton, CompressedSkeleton]
-    ) -> Union[PDTSkeleton, CompressedSkeleton]:
-        """DAG-compress ``skeleton`` against the engine's shape table.
-
-        Identity when ``dag_compression`` is off — the uncompressed (or
-        mmap-backed) skeleton then enters the cache tier as-is.
-        """
-        if not self.dag_compression or self.shape_table is None:
-            return skeleton
-        return compress_skeleton(skeleton, self.shape_table)
+    # -- lifecycle ---------------------------------------------------------------
 
     def prune_snapshots(self) -> int:
         """Drop persistent snapshots no live ``(document, view)`` pair can
@@ -847,15 +830,15 @@ class KeywordSearchEngine:
                 if cacheable and store is not None and lists is None:
                     # Only genuine first contact goes to disk: with the
                     # prepared tier warm, rebuilding from the cached
-                    # lists (no probes) is strictly cheaper than a file
-                    # read + deserialize + finalization round trip.
+                    # lists (no probes) is cheaper than a file read
+                    # and column decode.
                     restored = store.load(indexed.fingerprint, qpt_hash)
                     if restored is not None and restored.doc_name == doc_name:
                         # (A mismatched doc_name would mean a digest
                         # collision or a store shared across
                         # differently-named loads of the same content —
                         # never served blind.)
-                        skeleton = self._intern_skeleton(restored)
+                        skeleton = compress_skeleton(restored, self.shape_table)
                         hit = "snapshot"
                         cache.skeletons.put(skeleton_key, skeleton)
                 if skeleton is None:
@@ -869,31 +852,22 @@ class KeywordSearchEngine:
                         hit = "prepared"
                         path_lists = lists.path_lists
                         probed = lists.probed
-                    skeleton = build_skeleton(
+                    columns = build_skeleton(
                         qpt,
                         indexed.path_index,
                         path_lists=path_lists,
                         probed=probed,
                     )
+                    if cacheable and store is not None:
+                        # A failed snapshot write costs the *next*
+                        # process a rebuild; it must never fail the
+                        # query that already has its skeleton.
+                        try:
+                            store.save(indexed.fingerprint, qpt_hash, columns)
+                        except (OSError, InjectedFaultError):
+                            pass
+                    skeleton = compress_skeleton(columns, self.shape_table)
                     if cacheable:
-                        if store is not None:
-                            # Serialize from the eager form *before*
-                            # interning (identical bytes either way; the
-                            # eager skeleton still has its columns hot).
-                            # A failed snapshot write costs the *next*
-                            # process a rebuild; it must never fail the
-                            # query that already has its skeleton.
-                            try:
-                                store.save(
-                                    indexed.fingerprint, qpt_hash, skeleton
-                                )
-                            except (OSError, InjectedFaultError):
-                                pass
-                        # Interning seeds the compressed skeleton's weak
-                        # tree reference from the tree just built, so the
-                        # annotation below reuses it instead of
-                        # re-materializing.
-                        skeleton = self._intern_skeleton(skeleton)
                         cache.skeletons.put(skeleton_key, skeleton)
             if timings is not None:
                 timings.pdt_skeleton += time.perf_counter() - start

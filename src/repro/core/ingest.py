@@ -81,7 +81,6 @@ def ingest_corpus(
     workers: Optional[int] = None,
     parallel: bool = True,
     router: Optional[ShardRouter] = None,
-    dag_compression: bool = True,
     mmap_snapshots: bool = False,
 ) -> tuple[CorpusCoordinator, IngestReport]:
     """Build a warm sharded corpus in one call.
@@ -89,11 +88,11 @@ def ingest_corpus(
     ``documents`` maps document names to XML text; ``views`` maps view
     names to view definition text.  Returns the ready coordinator and
     the ingest manifest.  ``workers`` bounds the parse/index pool
-    (default: one per document, capped at 8).  ``dag_compression``
-    shares one shape table across *all* shard engines, so isomorphic
-    skeleton structure is stored once corpus-wide, not once per shard.
-    ``mmap_snapshots`` makes each shard's snapshot slice memory-map
-    payloads on restore instead of parsing them eagerly.
+    (default: one per document, capped at 8).  One shape table is shared
+    across *all* shard engines, so isomorphic skeleton structure is
+    stored once corpus-wide, not once per shard.  ``mmap_snapshots``
+    makes each shard's snapshot slice decode restores from a memory
+    mapping of the file instead of a copy of its bytes.
     """
     timings: dict[str, float] = {}
 
@@ -142,7 +141,7 @@ def ingest_corpus(
     # Step 3: attach to home shards, define views, warm everything.
     start = time.perf_counter()
     executors = []
-    shape_table = ShapeTable() if dag_compression else None
+    shape_table = ShapeTable()
     for shard_id in range(shard_count):
         store = None
         if snapshot_dir is not None:
@@ -154,7 +153,6 @@ def ingest_corpus(
             ShardExecutor(
                 shard_id,
                 snapshot_store=store,
-                dag_compression=dag_compression,
                 shape_table=shape_table,
             )
         )

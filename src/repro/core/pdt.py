@@ -38,9 +38,10 @@ bytes with no per-element tuple allocation.
 
 The keyword-independent half of the work is captured by
 :class:`PDTSkeleton` (cached per ``(view, document)`` by the engine): the
-surviving records, their nesting (precomputed parent indices), the shared
-assembled tree, and — for every content node — its subtree boundary keys
-resolved to indices into one sorted bounds array.  The per-query half,
+surviving records as flat columns with their structure hash-consed into
+shared shapes, a lazily built shared tree, and — for every content node —
+its subtree boundary keys resolved to indices into one sorted bounds
+array.  The per-query half,
 :func:`annotate_skeleton`, is then a single merge-join sweep per keyword
 over ``(bounds, posting list)`` producing a flat tf array:
 O(skeleton + postings) instead of the O(skeleton · log postings) per-node
@@ -57,7 +58,8 @@ import sys
 import weakref
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Optional, Union
+from itertools import repeat
+from typing import NamedTuple, Optional
 
 from repro.core.prepare import (
     PreparedLists,
@@ -70,7 +72,6 @@ from repro.storage.inverted_index import PostingList
 from repro.core.qpt import QPT, QPTNode
 from repro.dewey import (
     DeweyID,
-    pack_component,
     packed_child_bound,
     packed_prefix_ends,
     unpack,
@@ -193,11 +194,11 @@ class _OpenElement:
 class PDTRecord:
     """An emitted PDT element (pre-tree-construction).
 
-    ``key`` is the element's packed Dewey byte key.  Shared with the GTP
-    baseline, which computes the same records through structural joins
-    instead of the single-pass merge.  ``slots=True``: the cold path
-    allocates one record per surviving element, and slot storage both
-    shrinks and speeds that loop.
+    ``key`` is the element's packed Dewey byte key.  Emitted by the
+    stack-automaton ablation and by the GTP baseline, which computes the
+    same records through structural joins instead of the single-pass
+    merge; :meth:`SkeletonColumns.from_records` turns a record table
+    into skeleton columns.
     """
 
     key: bytes
@@ -213,11 +214,12 @@ class PDTRecord:
         return unpack(self.key)
 
 
-def _collect_records_swept(
+def _collect_swept(
     qpt: QPT,
     lists: PreparedLists,
     path_index: PathIndex,
-) -> dict[bytes, PDTRecord]:
+    entry_count: int,
+) -> "SkeletonColumns":
     """The default structural pass: a CE/PE fixpoint swept over the
     packed-key arrays the storage layer already keeps.
 
@@ -242,9 +244,10 @@ def _collect_records_swept(
       the chain's deepest entry sits one level up.
 
     All hot loops are bisects and merges over flat ``bytes`` arrays;
-    nothing allocates per (element, node) state.  Equivalence
-    with the automaton (and with ``repro.core.reference``) is enforced by
-    the property suite and the legacy-equivalence tests.
+    nothing allocates per (element, node) state, and the surviving
+    elements go straight into the skeleton's columns.  Equivalence with
+    the automaton (and with ``repro.core.reference``) is enforced by the
+    property suite, the ablation tests and the difftest.
     """
     path_lists = lists.path_lists
     probed = lists.probed
@@ -507,38 +510,33 @@ def _collect_records_swept(
                         kept.append(key)
         in_pdt[n] = kept
 
-    # -- emission (Definition 3's node set) -----------------------------------
-    records: dict[bytes, PDTRecord] = {}
-    records_get = records.get
-    value_get = direct_value.get
-    length_get = direct_length.get
-    new_record = PDTRecord.__new__
+    # -- emission (Definition 3's node set), straight into columns ----------
+    # An element matched by several QPT nodes is one record carrying the
+    # union of their annotation flags (its tag is the same for all).
+    tag_of: dict[bytes, str] = {}
+    flags_of: dict[bytes, int] = {}
+    flags_get = flags_of.get
     for qnode in nodes:
         emitted = in_pdt[qnode.index]
         if not emitted:
             continue
-        wants_value = bool(qnode.v_ann or qnode.predicates)
-        wants_content = qnode.c_ann
-        tag = qnode.tag
-        for key in emitted:
-            record = records_get(key)
-            if record is None:
-                # PDTRecord(...), unrolled: this is one of the two per-
-                # record allocation loops of the cold path.
-                record = new_record(PDTRecord)
-                record.key = key
-                record.tag = tag
-                record.value = value_get(key)
-                record.byte_length = length_get(key, 0)
-                record.wants_value = wants_value
-                record.wants_content = wants_content
-                records[key] = record
-                continue
-            if wants_value:
-                record.wants_value = True
-            if wants_content:
-                record.wants_content = True
-    return records
+        tag_of.update(dict.fromkeys(emitted, qnode.tag))
+        flag = (1 if qnode.v_ann or qnode.predicates else 0) | (
+            2 if qnode.c_ann else 0
+        )
+        if flag:
+            for key in emitted:
+                flags_of[key] = flags_get(key, 0) | flag
+    keys = tuple(sorted(tag_of))
+    return SkeletonColumns(
+        qpt.doc_name,
+        entry_count,
+        keys,
+        tuple(map(tag_of.__getitem__, keys)),
+        bytes(map(flags_get, keys, repeat(0))),
+        tuple(map(direct_value.get, keys)),
+        tuple(map(direct_length.get, keys, repeat(0))),
+    )
 
 
 class _PDTBuilder:
@@ -548,7 +546,7 @@ class _PDTBuilder:
     ParentLists, the PdtCache) — kept as the ``inpdt_fast_path`` ablation
     vehicle and as a second, independently-structured implementation the
     equivalence tests can cross-check against the default
-    :func:`_collect_records_swept` array sweep.
+    :func:`_collect_swept` array sweep.
 
     ``inpdt_fast_path`` toggles the Section 4.2.2.1 optimization: with it
     on, an item whose ancestor constraint is already established is
@@ -818,55 +816,72 @@ class _PDTBuilder:
 def _deep_sizeof(roots: tuple) -> int:
     """Estimate the resident bytes of an object graph (id-deduplicated).
 
-    Walks the containers and model objects a skeleton owns; shared
-    sub-objects (interned strings, shared tuples) are counted once.  An
-    estimate, not an audit — it feeds cache byte budgets and the memory
-    benchmarks, where relative footprint is what matters.
+    Walks the tuples and lists a skeleton owns; shared sub-objects
+    (interned strings, shared ints) are counted once.  An estimate, not
+    an audit — it feeds cache byte budgets and the memory benchmarks,
+    where relative footprint is what matters.
     """
     getsizeof = sys.getsizeof
     seen: set[int] = set()
-    add_seen = seen.add
     total = 0
     stack: list = list(roots)
     while stack:
         obj = stack.pop()
-        if obj is None:
+        if obj is None or id(obj) in seen:
             continue
-        oid = id(obj)
-        if oid in seen:
-            continue
-        add_seen(oid)
-        try:
-            total += getsizeof(obj)
-        except TypeError:  # pragma: no cover - exotic objects
-            total += 64
-        if type(obj) is dict:
-            stack.extend(obj.keys())
-            stack.extend(obj.values())
-        elif type(obj) in (tuple, list, set, frozenset):
+        seen.add(id(obj))
+        total += getsizeof(obj)
+        if type(obj) in (tuple, list):
             stack.extend(obj)
-        elif type(obj) is PDTRecord:
-            stack.append(obj.key)
-            stack.append(obj.tag)
-            stack.append(obj.value)
-        elif type(obj) is XMLNode:
-            stack.append(obj.tag)
-            stack.append(obj.text)
-            stack.append(obj.children)
-            stack.append(obj.anno)
-        elif type(obj) is NodeAnnotations:
-            stack.append(obj.dewey)
-            stack.append(obj.term_frequencies)
-            stack.append(obj.doc)
-        elif type(obj) is DeweyID:
-            stack.append(obj.components)
-            stack.append(obj._packed)
     return total
 
 
-@dataclass
+class SkeletonColumns(NamedTuple):
+    """The record columns of one skeleton, in key (preorder) order.
+
+    What the structural pass produces, what the v2 wire carries and what
+    :func:`compress_skeleton` turns into a :class:`PDTSkeleton`: the
+    sorted packed Dewey keys plus one tag, flag byte (bit0 wants_value,
+    bit1 wants_content), value (``None`` where absent) and byte length
+    per surviving element.
+    """
+
+    doc_name: str
+    entry_count: int
+    keys: tuple[bytes, ...]
+    tags: tuple[str, ...]
+    flags: bytes
+    values: tuple[Optional[str], ...]
+    byte_lengths: tuple[int, ...]
+
+    def to_bytes(self) -> bytes:
+        """Self-contained byte form (see :func:`serialize_skeleton`)."""
+        return serialize_skeleton(self)
+
+    @classmethod
+    def from_records(
+        cls, doc_name: str, records: dict[bytes, PDTRecord], entry_count: int
+    ) -> "SkeletonColumns":
+        """Columns of a record table (the stack-automaton ablation's output)."""
+        keys = tuple(sorted(records))
+        ordered = [records[key] for key in keys]
+        return cls(
+            doc_name,
+            entry_count,
+            keys,
+            tuple(record.tag for record in ordered),
+            bytes(
+                (1 if record.wants_value else 0)
+                | (2 if record.wants_content else 0)
+                for record in ordered
+            ),
+            tuple(record.value for record in ordered),
+            tuple(record.byte_length for record in ordered),
+        )
+
+
 class PDTSkeleton:
-    """The keyword-independent structural part of a PDT.
+    """The keyword-independent structural part of a PDT, DAG-compressed.
 
     Everything the merge pass computes — which elements of a ``(view,
     document)`` pair survive the structural ancestor/descendant/predicate
@@ -878,242 +893,13 @@ class PDTSkeleton:
     document; :func:`annotate_skeleton` merges a query's posting lists
     onto it in one sweep per keyword with zero path-index work.
 
-    Beyond the records, a skeleton precomputes — once, at build time —
-    every structure the annotation pass would otherwise redo per query:
-
-    * ``tree``: the assembled PDT tree itself.  Values, byte lengths and
-      nesting are all keyword-independent, so one shared tree serves
-      every keyword set; content nodes carry their ``slot`` index and the
-      per-query tfs live in :attr:`PDTResult.tf_arrays`.
-    * ``bounds`` / ``slot_bounds``: the sorted, de-duplicated subtree
-      boundary keys of all content nodes, and per content slot the
-      ``(low, high)`` indices into ``bounds``.  One
-      ``PostingList.cumulative_below(bounds)`` sweep per keyword then
-      yields every content node's subtree tf by two array reads.
-    * ``dewey_ids`` / ``parents``: decoded ids (shared by all annotation
-      annotations) and parent positions, kept for diagnostics and for
-      rebuilding trees in tests.
-
-    Skeletons are immutable in practice: everything is finalized when the
-    build ends and annotation passes only read, so one skeleton may be
-    annotated concurrently from many threads.
-    """
-
-    doc_name: str
-    records: dict[bytes, PDTRecord]
-    ordered: tuple[bytes, ...]
-    entry_count: int
-    dewey_ids: tuple[DeweyID, ...]
-    parents: tuple[int, ...]
-    slots: tuple[Optional[int], ...]
-    content_count: int
-    bounds: tuple[bytes, ...]
-    slot_bounds: tuple[tuple[int, int], ...]
-    tree: XMLNode
-
-    @property
-    def node_count(self) -> int:
-        return len(self.records)
-
-    def stats(self) -> dict[str, int]:
-        return {"nodes": self.node_count, "entries": self.entry_count}
-
-    @property
-    def memory_bytes(self) -> int:
-        """Estimated resident footprint (memoized deep object-graph size).
-
-        Counts everything the skeleton owns: the record table, decoded
-        ids, bounds and the fully-materialized shared tree.  Cache tiers
-        use this as the byte-budget sizer; the DAG-compressed form
-        (:class:`CompressedSkeleton`) reports a much smaller figure for
-        repetitive structure.
-        """
-        cached = self.__dict__.get("_memory_bytes")
-        if cached is None:
-            cached = _deep_sizeof(
-                (
-                    self.records,
-                    self.ordered,
-                    self.dewey_ids,
-                    self.parents,
-                    self.slots,
-                    self.bounds,
-                    self.slot_bounds,
-                    self.tree,
-                )
-            )
-            self.__dict__["_memory_bytes"] = cached
-        return cached
-
-    # -- serialization -------------------------------------------------------
-
-    def to_bytes(self) -> bytes:
-        """Self-contained byte form (see :func:`serialize_skeleton`)."""
-        return serialize_skeleton(self)
-
-    @classmethod
-    def from_bytes(cls, payload: bytes) -> "PDTSkeleton":
-        """Inverse of :meth:`to_bytes`; raises ``ValueError`` on corrupt
-        payloads (see :func:`deserialize_skeleton`)."""
-        return deserialize_skeleton(payload)
-
-    @classmethod
-    def from_records(
-        cls,
-        doc_name: str,
-        records: dict[bytes, PDTRecord],
-        entry_count: int,
-    ) -> "PDTSkeleton":
-        """Finalize merge-pass records into an annotated-query-ready form.
-
-        One fused pass over the sorted records builds the parent
-        positions, the decoded ids, the content-slot bounds *and* the
-        shared tree (Definition 3's edge set: parent = nearest emitted
-        ancestor).  Ids are decoded incrementally — a record's components
-        extend its parent's already-decoded tuple by the unpacked key
-        suffix — so the pass never re-decodes an ancestor prefix.
-        """
-        if not records:
-            return cls(
-                doc_name=doc_name,
-                records=records,
-                ordered=(),
-                entry_count=entry_count,
-                dewey_ids=(),
-                parents=(),
-                slots=(),
-                content_count=0,
-                bounds=(),
-                slot_bounds=(),
-                tree=XMLNode(EMPTY_TAG),
-            )
-        ordered_items = sorted(records.items())
-        ordered = tuple(key for key, _ in ordered_items)
-        dewey_ids: list[DeweyID] = []
-        parents: list[int] = []
-        slots: list[Optional[int]] = []
-        bound_keys: set[bytes] = set()
-        content_ranges: list[tuple[bytes, bytes]] = []
-        stack: list[int] = []
-        nodes: list[XMLNode] = []
-        top_level: list[XMLNode] = []
-        append_dewey = dewey_ids.append
-        append_parent = parents.append
-        append_slot = slots.append
-        append_node = nodes.append
-        add_bound = bound_keys.add
-        new_dewey = DeweyID.__new__
-        new_node = XMLNode.__new__
-        new_anno = NodeAnnotations.__new__
-        for position, (key, record) in enumerate(ordered_items):
-            while stack and not key.startswith(ordered[stack[-1]]):
-                stack.pop()
-            if stack:
-                parent = stack[-1]
-                parent_id = dewey_ids[parent]
-                offset = len(parent_id._packed)
-                if offset + 1 + key[offset] == len(key):
-                    # Single-component suffix (the common case: the
-                    # record is a child of the previous record's element).
-                    components = parent_id.components + (
-                        int.from_bytes(key[offset + 1:], "big"),
-                    )
-                else:
-                    components = parent_id.components + unpack(key[offset:])
-            else:
-                parent = -1
-                components = unpack(key)
-            # dewey_from_parts, inlined for the hot loop.
-            dewey = new_dewey(DeweyID)
-            dewey.components = components
-            dewey._packed = key
-            append_dewey(dewey)
-            append_parent(parent)
-            stack.append(position)
-            wants_content = record.wants_content
-            if wants_content:
-                slot: Optional[int] = len(content_ranges)
-                # packed_child_bound, inlined: the last component's start
-                # falls out of the just-decoded components, so no rescan.
-                last = components[-1]
-                last_length = (last.bit_length() + 7) // 8
-                upper = (
-                    key[: len(key) - 1 - last_length]
-                    + pack_component(last + 1)
-                )
-                content_ranges.append((key, upper))
-                add_bound(key)
-                add_bound(upper)
-            else:
-                slot = None
-            append_slot(slot)
-            # XMLNode/NodeAnnotations construction and child attachment,
-            # unrolled: this loop builds the whole shared tree and is the
-            # other per-record allocation loop of the cold path.
-            node = new_node(XMLNode)
-            node.tag = record.tag
-            node.text = (
-                record.value
-                if record.wants_value and record.value is not None
-                else None
-            )
-            node.children = []
-            node.dewey = None
-            anno = new_anno(NodeAnnotations)
-            anno.dewey = dewey
-            anno.byte_length = record.byte_length
-            anno.term_frequencies = {}
-            anno.pruned = wants_content
-            anno.doc = doc_name
-            anno.slot = slot
-            node.anno = anno
-            append_node(node)
-            if parent >= 0:
-                parent_node = nodes[parent]
-                node.parent = parent_node
-                parent_node.children.append(node)
-            else:
-                node.parent = None
-                top_level.append(node)
-        bounds = tuple(sorted(bound_keys))
-        bound_index = {bound: i for i, bound in enumerate(bounds)}
-        slot_bounds = tuple(
-            (bound_index[low], bound_index[high])
-            for low, high in content_ranges
-        )
-        if len(top_level) == 1 and len(dewey_ids[0].components) == 1:
-            # The document root element itself is in the PDT: it is the tree.
-            tree = top_level[0]
-        else:
-            tree = XMLNode(FRAGMENT_TAG)
-            for node in top_level:
-                tree.append(node)
-        return cls(
-            doc_name=doc_name,
-            records=records,
-            ordered=ordered,
-            entry_count=entry_count,
-            dewey_ids=tuple(dewey_ids),
-            parents=tuple(parents),
-            slots=tuple(slots),
-            content_count=len(content_ranges),
-            bounds=bounds,
-            slot_bounds=slot_bounds,
-            tree=tree,
-        )
-
-
-class CompressedSkeleton:
-    """A DAG-compressed :class:`PDTSkeleton`: shared structure, flat state.
-
-    The structural part of a skeleton — tags, nesting and annotation
-    flags — is hash-consed into :class:`~repro.core.shapes.Shape`
-    objects interned in a per-engine (or per-corpus)
-    :class:`~repro.core.shapes.ShapeTable`, so each distinct subtree
-    structure is stored **once** within and across skeletons.  What
-    remains per instance is exactly the per-record state that actually
-    differs between documents, kept in flat parallel arrays in record
-    (preorder) order:
+    The structural part — tags, nesting and annotation flags — is
+    hash-consed into :class:`~repro.core.shapes.Shape` objects interned
+    in a per-engine (or per-corpus) :class:`~repro.core.shapes.ShapeTable`,
+    so each distinct subtree structure is stored **once** within and
+    across skeletons (the DAG compression of Böttcher et al.).  What
+    remains per instance is the state that actually differs between
+    documents, in flat parallel arrays in key (preorder) order:
 
     * ``keys`` — the packed Dewey keys (sorted; bytes order = document
       order);
@@ -1121,24 +907,29 @@ class CompressedSkeleton:
       place;
     * ``values`` — materialized atomic values (``None`` where absent).
 
-    Everything :func:`annotate_skeleton` consumes is exposed with the
-    same names and semantics as on ``PDTSkeleton`` (``bounds``,
-    ``slot_bounds``, ``tree``, ``doc_name``, ``node_count``,
-    ``entry_count``), so the merge-join sweep runs over the DAG
-    unchanged and ``PDTResult`` / ranking stay bit-identical:
+    Everything else is derived on demand:
 
-    * ``bounds`` / ``slot_bounds`` are derived lazily from the shapes'
-      cached content positions plus the per-instance keys (memoized
-      strongly — they are small and every annotation needs them);
-    * ``tree`` is memoized **weakly**: the shared tree is derived data,
-      rebuilt on demand and kept alive exactly as long as some cached
-      ``PDTResult`` / evaluated-tier entry references its nodes.  Slots
-      are positional, so re-materialized trees are interchangeable.
+    * ``bounds`` / ``slot_bounds`` — the sorted, de-duplicated subtree
+      boundary keys of all content nodes, and per content slot the
+      ``(low, high)`` indices into ``bounds``; one
+      ``PostingList.cumulative_below(bounds)`` sweep per keyword then
+      yields every content node's subtree tf by two array reads.
+      Memoized strongly — they are small and every annotation needs
+      them.
+    * ``tree`` — the assembled PDT tree.  Values, byte lengths and
+      nesting are all keyword-independent, so one shared tree serves
+      every keyword set; content nodes carry their ``slot`` index and
+      the per-query tfs live in :attr:`PDTResult.tf_arrays`.  Memoized
+      **weakly**: it is rebuilt on demand and kept alive exactly as long
+      as some cached ``PDTResult`` / evaluated-tier entry references its
+      nodes.  Slots are positional, so rebuilt trees are
+      interchangeable.
 
-    Lazy computations are idempotent and the memo writes are atomic, so
-    a benign compute race between annotating threads settles on
-    equivalent state — matching the skeleton tier's concurrent-read
-    contract.
+    :func:`compress_skeleton` is the only constructor.  Lazy
+    computations are idempotent and the memo writes are atomic, so a
+    benign compute race between annotating threads settles on
+    equivalent state — one skeleton may be annotated concurrently from
+    many threads.
     """
 
     __slots__ = (
@@ -1176,8 +967,6 @@ class CompressedSkeleton:
         self._tree_ref: Optional[weakref.ref] = None
         self._memory_bytes: Optional[int] = None
 
-    # -- PDTSkeleton-compatible surface --------------------------------------
-
     @property
     def node_count(self) -> int:
         return len(self.keys)
@@ -1185,27 +974,29 @@ class CompressedSkeleton:
     def stats(self) -> dict[str, int]:
         return {"nodes": self.node_count, "entries": self.entry_count}
 
-    def columns(
-        self,
-    ) -> tuple[tuple[str, ...], tuple[bool, ...], tuple[bool, ...]]:
-        """Full preorder ``(tags, wants_value, wants_content)`` columns.
+    def columns(self) -> SkeletonColumns:
+        """The record columns this skeleton was compressed from.
 
-        Pure concatenation of the top-level shapes' cached columns —
-        the per-shape work is done once per distinct structure, here we
-        only splice.  Not memoized: the callers (tree materialization,
-        serialization) are themselves memoized or cold-path.
+        Tags and flags are pure concatenation of the top-level shapes'
+        cached columns — the per-shape work is done once per distinct
+        structure, here we only splice.
         """
-        return forest_columns(self.roots)
+        tags, flags = forest_columns(self.roots)
+        return SkeletonColumns(
+            self.doc_name,
+            self.entry_count,
+            self.keys,
+            tags,
+            flags,
+            self.values,
+            tuple(self.byte_lengths),
+        )
 
-    def content_positions(self) -> tuple[int, ...]:
-        """Preorder record positions of the content ('c') nodes."""
-        positions: list[int] = []
-        base = 0
-        for root in self.roots:
-            for relative in root.columns()[3]:
-                positions.append(base + relative)
-            base += root.size
-        return tuple(positions)
+    def to_bytes(self) -> bytes:
+        """Self-contained byte form (see :func:`serialize_skeleton`)."""
+        return serialize_skeleton(self.columns())
+
+    # -- annotation inputs ---------------------------------------------------
 
     @property
     def bounds(self) -> tuple[bytes, ...]:
@@ -1220,23 +1011,25 @@ class CompressedSkeleton:
         return self._slot_bounds
 
     def _compute_bounds(self) -> None:
-        """Derive the annotation sweep's bound arrays from the DAG.
+        """Derive the annotation sweep's bound arrays.
 
         Content *positions* come from the shapes (computed once per
-        distinct structure); the subtree boundary *keys* are then two
-        reads per content node off the per-instance key array — the
-        exact same ``[key, packed_child_bound(key))`` ranges
-        :meth:`PDTSkeleton.from_records` precomputes eagerly.
+        distinct structure); each content node's subtree range is then
+        ``[key, packed_child_bound(key))`` off the per-instance key
+        array.
         """
         keys = self.keys
         bound_keys: set[bytes] = set()
         content_ranges: list[tuple[bytes, bytes]] = []
-        for position in self.content_positions():
-            key = keys[position]
-            upper = packed_child_bound(key)
-            content_ranges.append((key, upper))
-            bound_keys.add(key)
-            bound_keys.add(upper)
+        base = 0
+        for root in self.roots:
+            for relative in root.columns()[2]:
+                key = keys[base + relative]
+                upper = packed_child_bound(key)
+                content_ranges.append((key, upper))
+                bound_keys.add(key)
+                bound_keys.add(upper)
+            base += root.size
         bounds = tuple(sorted(bound_keys))
         bound_index = {bound: i for i, bound in enumerate(bounds)}
         self._slot_bounds = tuple(
@@ -1252,77 +1045,95 @@ class CompressedSkeleton:
             tree = ref()
             if tree is not None:
                 return tree
-        tree = self._materialize().tree
+        tree = self._build_tree()
         self._tree_ref = weakref.ref(tree)
         return tree
 
-    def _materialize(self) -> PDTSkeleton:
-        """Decompress into a transient eager :class:`PDTSkeleton`.
+    def _build_tree(self) -> XMLNode:
+        """Assemble the shared tree in one pass over the columns.
 
-        Reuses :meth:`PDTSkeleton.from_records` wholesale so the
-        materialized tree (slot assignment, fragment wrapping, value
-        placement) is the uncompressed build, by construction, not a
-        reimplementation that could drift.
+        Definition 3's edge set: a record's parent is its nearest
+        emitted ancestor, the top of a stack of open keys.  Ids are
+        decoded incrementally — a record's components extend its
+        parent's already-decoded tuple by the unpacked key suffix — so
+        the pass never re-decodes an ancestor prefix.  Content nodes
+        take consecutive slots in key order, matching ``slot_bounds``.
         """
-        tags, wants_value, wants_content = self.columns()
-        records: dict[bytes, PDTRecord] = {}
-        new_record = PDTRecord.__new__
-        byte_lengths = self.byte_lengths
-        values = self.values
-        for position, key in enumerate(self.keys):
-            record = new_record(PDTRecord)
-            record.key = key
-            record.tag = tags[position]
-            record.value = values[position]
-            record.byte_length = byte_lengths[position]
-            record.wants_value = wants_value[position]
-            record.wants_content = wants_content[position]
-            records[key] = record
-        return PDTSkeleton.from_records(
-            doc_name=self.doc_name,
-            records=records,
-            entry_count=self.entry_count,
-        )
-
-    # -- serialization -------------------------------------------------------
-
-    def to_bytes(self) -> bytes:
-        """Identical bytes to the uncompressed skeleton's ``to_bytes``."""
-        return serialize_skeleton(self)
-
-    # -- delta maintenance ---------------------------------------------------
-
-    def patch_byte_lengths(
-        self, ancestor_keys: tuple[bytes, ...], delta: int
-    ) -> int:
-        """DAG-side :func:`patch_skeleton_byte_lengths`.
-
-        Bisects each ancestor key into the sorted per-instance key array
-        and shifts its byte length; the shared structure is untouched
-        (byte lengths are instance state, never part of a shape).  A
-        live materialized tree, if any, is patched through the same
-        bounded ancestor-chain walk as the eager path.
-        """
-        if delta == 0 or not ancestor_keys:
-            return 0
         keys = self.keys
+        if not keys:
+            return XMLNode(EMPTY_TAG)
+        tags, flags = forest_columns(self.roots)
+        values = self.values
         byte_lengths = self.byte_lengths
-        count = len(keys)
-        patched: set[bytes] = set()
-        for key in ancestor_keys:
-            position = bisect_left(keys, key)
-            if position < count and keys[position] == key:
-                byte_lengths[position] += delta
-                patched.add(key)
-        if not patched:
-            return 0
-        ref = self._tree_ref
-        tree = ref() if ref is not None else None
-        if tree is not None:
-            _patch_tree_annotations(
-                tree, set(patched), ancestor_keys[-1], delta
-            )
-        return len(patched)
+        doc_name = self.doc_name
+        stack: list[int] = []
+        dewey_ids: list[DeweyID] = []
+        nodes: list[XMLNode] = []
+        top_level: list[XMLNode] = []
+        slot = 0
+        new_dewey = DeweyID.__new__
+        new_node = XMLNode.__new__
+        new_anno = NodeAnnotations.__new__
+        for position, key in enumerate(keys):
+            while stack and not key.startswith(keys[stack[-1]]):
+                stack.pop()
+            if stack:
+                parent = stack[-1]
+                parent_id = dewey_ids[parent]
+                offset = len(parent_id._packed)
+                if offset + 1 + key[offset] == len(key):
+                    # Single-component suffix (the common case: the
+                    # record is a child of the previous record's element).
+                    components = parent_id.components + (
+                        int.from_bytes(key[offset + 1:], "big"),
+                    )
+                else:
+                    components = parent_id.components + unpack(key[offset:])
+            else:
+                parent = -1
+                components = unpack(key)
+            # dewey_from_parts, inlined for the hot loop.
+            dewey = new_dewey(DeweyID)
+            dewey.components = components
+            dewey._packed = key
+            dewey_ids.append(dewey)
+            stack.append(position)
+            flag = flags[position]
+            # XMLNode/NodeAnnotations construction and child attachment,
+            # unrolled: this loop allocates the whole shared tree.
+            node = new_node(XMLNode)
+            node.tag = tags[position]
+            node.text = values[position] if flag & 1 else None
+            node.children = []
+            node.dewey = None
+            anno = new_anno(NodeAnnotations)
+            anno.dewey = dewey
+            anno.byte_length = byte_lengths[position]
+            anno.term_frequencies = {}
+            anno.doc = doc_name
+            if flag & 2:
+                anno.pruned = True
+                anno.slot = slot
+                slot += 1
+            else:
+                anno.pruned = False
+                anno.slot = None
+            node.anno = anno
+            nodes.append(node)
+            if parent >= 0:
+                parent_node = nodes[parent]
+                node.parent = parent_node
+                parent_node.children.append(node)
+            else:
+                node.parent = None
+                top_level.append(node)
+        if len(top_level) == 1 and len(dewey_ids[0].components) == 1:
+            # The document root element itself is in the PDT: it is the tree.
+            return top_level[0]
+        tree = XMLNode(FRAGMENT_TAG)
+        for node in top_level:
+            tree.append(node)
+        return tree
 
     # -- accounting ----------------------------------------------------------
 
@@ -1359,64 +1170,43 @@ class CompressedSkeleton:
 
     def __repr__(self) -> str:
         return (
-            f"<CompressedSkeleton {self.doc_name!r} nodes={self.node_count} "
+            f"<PDTSkeleton {self.doc_name!r} nodes={self.node_count} "
             f"roots={len(self.roots)}>"
         )
 
 
 def compress_skeleton(
-    skeleton: Union[PDTSkeleton, "CompressedSkeleton"],
-    table: ShapeTable,
-) -> CompressedSkeleton:
-    """DAG-compress a skeleton against a shared shape table.
+    columns: SkeletonColumns, table: ShapeTable
+) -> PDTSkeleton:
+    """Turn record columns into a :class:`PDTSkeleton` against ``table``.
 
-    Bottom-up hash-consing over the record columns: every isomorphic
-    subtree structure collapses to one interned
-    :class:`~repro.core.shapes.Shape`, within this skeleton and across
-    every other skeleton interned in the same ``table``.  Accepts any
-    skeleton exposing the eager attribute surface (``ordered`` /
-    ``records`` / ``parents``), so mmap-restored skeletons compress the
-    same way; an already-compressed skeleton passes through unchanged.
-
-    The source's already-built shared tree (when present) seeds the weak
-    tree memo, so compressing a freshly built skeleton does not discard
-    and rebuild the tree the cold path just paid for.
+    Bottom-up hash-consing: every isomorphic subtree structure collapses
+    to one interned :class:`~repro.core.shapes.Shape`, within this
+    skeleton and across every other skeleton interned in the same
+    ``table``.  The nesting the interning needs comes from one stack
+    walk over the sorted keys (a record's parent is its nearest
+    ancestor among the records).
     """
-    if isinstance(skeleton, CompressedSkeleton):
-        return skeleton
-    ordered = skeleton.ordered
-    records = skeleton.records
-    tags: list[str] = []
-    wants_value: list[bool] = []
-    wants_content: list[bool] = []
-    values: list[Optional[str]] = []
-    byte_lengths: list[int] = []
-    for key in ordered:
-        record = records[key]
-        tags.append(record.tag)
-        wants_value.append(record.wants_value)
-        wants_content.append(record.wants_content)
-        values.append(record.value)
-        byte_lengths.append(record.byte_length)
-    roots = table.intern_forest(
-        tags, wants_value, wants_content, skeleton.parents
+    keys = columns.keys
+    parents = [-1] * len(keys)
+    stack: list[int] = []
+    for position, key in enumerate(keys):
+        while stack and not key.startswith(keys[stack[-1]]):
+            stack.pop()
+        if stack:
+            parents[position] = stack[-1]
+        stack.append(position)
+    return PDTSkeleton(
+        doc_name=columns.doc_name,
+        entry_count=columns.entry_count,
+        roots=table.intern_forest(columns.tags, columns.flags, parents),
+        keys=tuple(keys),
+        byte_lengths=list(columns.byte_lengths),
+        values=tuple(columns.values),
     )
-    compressed = CompressedSkeleton(
-        doc_name=skeleton.doc_name,
-        entry_count=skeleton.entry_count,
-        roots=roots,
-        keys=tuple(ordered),
-        byte_lengths=byte_lengths,
-        values=tuple(values),
-    )
-    tree = getattr(skeleton, "tree", None)
-    if tree is not None:
-        compressed._tree_ref = weakref.ref(tree)
-    return compressed
 
 
 _SKELETON_MAGIC = b"PDTS"
-_SKELETON_VERSION_V1 = 1
 _SKELETON_VERSION = 2
 
 # v2 fixed header (big-endian):
@@ -1432,8 +1222,8 @@ _SKELETON_VERSION = 2
 #   [38:42] u32 tag table byte length
 #   [42:46] u32 values blob byte length
 # then, back to back (every section offset is O(1) arithmetic over the
-# header — the offset table an mmap reader needs to address any column
-# without parsing the ones before it):
+# header, so a reader can address any column without parsing the ones
+# before it):
 #   doc_name utf-8
 #   key_offsets   u32[n+1]   (relative, key_offsets[0] == 0)
 #   keys blob     (concatenated packed Dewey keys)
@@ -1446,117 +1236,34 @@ _SKELETON_VERSION = 2
 #   value_offsets u32[m+1]   (relative, over value-bearing records in order)
 #   values blob   (concatenated utf-8 values)
 _V2_HEADER_SIZE = 46
+#: Strips the wire-only "value present" bit from a flags column.
+_RECORD_FLAGS = bytes(flag & 3 for flag in range(256))
 
 
-def _pack_str(value: str) -> bytes:
-    raw = value.encode("utf-8")
-    return len(raw).to_bytes(4, "big") + raw
-
-
-class _SkeletonReader:
-    """Cursor over a serialized skeleton payload with bounds checking."""
-
-    __slots__ = ("data", "offset")
-
-    def __init__(self, data: bytes):
-        self.data = data
-        self.offset = 0
-
-    def take(self, count: int) -> bytes:
-        end = self.offset + count
-        if end > len(self.data):
-            raise ValueError("truncated PDT skeleton payload")
-        chunk = self.data[self.offset:end]
-        self.offset = end
-        return chunk
-
-    def take_int(self, width: int) -> int:
-        return int.from_bytes(self.take(width), "big")
-
-    def take_str(self) -> str:
-        return self.take(self.take_int(4)).decode("utf-8")
-
-
-def _skeleton_columns(
-    skeleton: Union[PDTSkeleton, CompressedSkeleton],
-) -> tuple:
-    """Preorder wire columns, identical for eager and compressed forms.
-
-    Returns ``(doc_name, entry_count, keys, tags, wants_value,
-    wants_content, values, byte_lengths)``.  The compressed form splices
-    its shapes' cached columns; the eager form walks its record table in
-    key order — both yield the same sequences, which is what makes
-    ``to_bytes`` byte-identical across representations (and lets the
-    difftests compare skeleton state by payload digest).
-    """
-    if isinstance(skeleton, CompressedSkeleton):
-        tags, wants_value, wants_content = skeleton.columns()
-        return (
-            skeleton.doc_name,
-            skeleton.entry_count,
-            skeleton.keys,
-            tags,
-            wants_value,
-            wants_content,
-            skeleton.values,
-            skeleton.byte_lengths,
-        )
-    ordered = skeleton.ordered
-    records = skeleton.records
-    tags_list: list[str] = []
-    wants_value_list: list[bool] = []
-    wants_content_list: list[bool] = []
-    values: list[Optional[str]] = []
-    byte_lengths: list[int] = []
-    for key in ordered:
-        record = records[key]
-        tags_list.append(record.tag)
-        wants_value_list.append(record.wants_value)
-        wants_content_list.append(record.wants_content)
-        values.append(record.value)
-        byte_lengths.append(record.byte_length)
-    return (
-        skeleton.doc_name,
-        skeleton.entry_count,
-        ordered,
-        tags_list,
-        wants_value_list,
-        wants_content_list,
-        values,
-        byte_lengths,
-    )
-
-
-def serialize_skeleton(
-    skeleton: Union[PDTSkeleton, CompressedSkeleton],
-) -> bytes:
-    """Encode a skeleton as self-contained v2 bytes (see the header map).
+def serialize_skeleton(columns: SkeletonColumns) -> bytes:
+    """Encode skeleton columns as self-contained v2 bytes (see the
+    header map).
 
     Only the *record columns* travel: everything else a skeleton
-    carries (parent positions, decoded ids, subtree bounds, the shared
-    tree, the shape DAG) is a pure function of the columns and is
-    rebuilt on the way in — so the wire format cannot drift from the
-    in-memory derivations, and a payload is host-independent (no
-    pickled code, no interpreter state).
-
-    Unlike v1's per-record framing, v2 is a struct/array layout: a
-    fixed offset-table header plus packed column arrays, so a reader
-    can address any column in O(1) and :class:`repro.core.snapshot
-    .MappedSkeleton` can expose a payload through ``mmap`` without
-    parsing it.  The encoding is deterministic (tag table in
-    first-appearance order), so serializing the same skeleton from its
-    eager or DAG-compressed form yields identical bytes.
+    carries (the shape DAG, subtree bounds, the shared tree) is a pure
+    function of the columns and is rebuilt on the way in — so the wire
+    format cannot drift from the in-memory derivations, and a payload
+    is host-independent (no pickled code, no interpreter state).  The
+    layout is a fixed offset-table header plus packed column arrays, so
+    a reader can address any column in O(1).  The encoding is
+    deterministic (tag table in first-appearance order), so the columns
+    of a fresh build and of the skeleton compressed from them encode to
+    identical bytes.
     """
     (
         doc_name,
         entry_count,
         keys,
         tags,
-        wants_value,
-        wants_content,
+        record_flags,
         values,
         byte_lengths,
-    ) = _skeleton_columns(skeleton)
+    ) = columns
     count = len(keys)
     doc_raw = doc_name.encode("utf-8")
     key_offsets = [0] * (count + 1)
@@ -1580,9 +1287,7 @@ def serialize_skeleton(
         raise ValueError("too many distinct tags for skeleton payload")
     tag_table = b"".join(tag_entries)
     flags = bytes(
-        (1 if wants_value[i] else 0)
-        | (2 if wants_content[i] else 0)
-        | (4 if values[i] is not None else 0)
+        (record_flags[i] & 3) | (4 if values[i] is not None else 0)
         for i in range(count)
     )
     value_parts = [
@@ -1595,7 +1300,7 @@ def serialize_skeleton(
         running += len(part)
         value_offsets[position + 1] = running
     values_blob = b"".join(value_parts)
-    content_count = sum(1 for flag in wants_content if flag)
+    content_count = sum(1 for flag in flags if flag & 2)
     header = b"".join(
         (
             _SKELETON_MAGIC,
@@ -1627,58 +1332,15 @@ def serialize_skeleton(
     )
 
 
-def _serialize_skeleton_v1(skeleton: PDTSkeleton) -> bytes:
-    """The v1 per-record framing, kept for compatibility tests.
-
-    Production writes v2; old stores' v1 payloads remain readable
-    through :func:`deserialize_skeleton`'s version dispatch.
-    """
-    parts: list[bytes] = [
-        _SKELETON_MAGIC,
-        _SKELETON_VERSION_V1.to_bytes(2, "big"),
-        _pack_str(skeleton.doc_name),
-        skeleton.entry_count.to_bytes(8, "big"),
-        len(skeleton.records).to_bytes(4, "big"),
-    ]
-    for key in skeleton.ordered:
-        record = skeleton.records[key]
-        flags = (
-            (1 if record.wants_value else 0)
-            | (2 if record.wants_content else 0)
-            | (4 if record.value is not None else 0)
-        )
-        parts.append(len(key).to_bytes(2, "big"))
-        parts.append(key)
-        parts.append(_pack_str(record.tag))
-        parts.append(bytes((flags,)))
-        parts.append(record.byte_length.to_bytes(8, "big"))
-        if record.value is not None:
-            parts.append(_pack_str(record.value))
-    return b"".join(parts)
-
-
-def skeleton_payload_version(payload) -> int:
-    """The wire version of a skeleton payload (header peek, O(1)).
-
-    Accepts any bytes-like buffer.  Raises ``ValueError`` when the
-    payload is too short or carries the wrong magic — the same contract
-    as full deserialization, so store code can branch on version
-    without first risking a parse.
-    """
-    if len(payload) < 6 or bytes(payload[0:4]) != _SKELETON_MAGIC:
-        raise ValueError("not a PDT skeleton payload")
-    return int.from_bytes(bytes(payload[4:6]), "big")
-
-
 class SkeletonLayout:
     """Validated v2 section offsets over a bytes-like payload.
 
     Parsing is O(1) in the payload size: the fixed header names every
     section length, so all offsets are arithmetic and the single
     total-length equation rejects truncated or trailing-byte payloads
-    up front.  Column *content* is validated when (and only when) a
-    column is decoded — that is the contract that lets an mmap reader
-    admit a payload without paging it in.
+    (and any other wire version) up front.  Column *content* is
+    validated by the column decoders, which :func:`deserialize_skeleton`
+    runs over every column.
     """
 
     __slots__ = (
@@ -1705,11 +1367,13 @@ class SkeletonLayout:
 
     def __init__(self, payload):
         total = len(payload)
-        if total < _V2_HEADER_SIZE:
-            raise ValueError("truncated PDT skeleton payload")
-        version = skeleton_payload_version(payload)
+        if total < 6 or bytes(payload[0:4]) != _SKELETON_MAGIC:
+            raise ValueError("not a PDT skeleton payload")
+        version = int.from_bytes(bytes(payload[4:6]), "big")
         if version != _SKELETON_VERSION:
             raise ValueError(f"unsupported PDT skeleton version {version}")
+        if total < _V2_HEADER_SIZE:
+            raise ValueError("truncated PDT skeleton payload")
         header = bytes(payload[:_V2_HEADER_SIZE])
         (
             entry_count,
@@ -1762,19 +1426,30 @@ class SkeletonLayout:
         if offsets[0] != 0 or offsets[-1] != self.keys_size:
             raise ValueError("corrupt PDT skeleton key index")
         base = self.keys_offset
-        keys: list[bytes] = []
-        previous: Optional[bytes] = None
-        for position in range(count):
-            low, high = offsets[position], offsets[position + 1]
-            if high <= low:
+        blob = bytes(payload[base:base + self.keys_size])
+        keys = tuple(map(blob.__getitem__, map(slice, offsets, offsets[1:])))
+        if not all(map(bytes.__lt__, keys, keys[1:])):
+            raise ValueError("PDT skeleton keys out of order")
+        # Well-formed packed form: past its nearest ancestor among the
+        # already-checked keys (the top of a stack of open keys), a key
+        # must continue with whole non-empty components.
+        stack: list[bytes] = []
+        for key in keys:
+            while stack and not key.startswith(stack[-1]):
+                stack.pop()
+            cursor = len(stack[-1]) if stack else 0
+            end = len(key)
+            if cursor == end:
                 raise ValueError("corrupt PDT skeleton key index")
-            key = bytes(payload[base + low:base + high])
-            unpack(key)  # validates the packed form (and rejects empty)
-            if previous is not None and key <= previous:
-                raise ValueError("PDT skeleton keys out of order")
-            previous = key
-            keys.append(key)
-        return tuple(keys)
+            while cursor < end:
+                length = key[cursor]
+                if length == 0:
+                    break
+                cursor += 1 + length
+            if cursor != end:
+                raise ValueError(f"malformed packed Dewey key: {key!r}")
+            stack.append(key)
+        return keys
 
     def tags(self) -> tuple[str, ...]:
         payload = self.payload
@@ -1801,12 +1476,9 @@ class SkeletonLayout:
             raise ValueError("corrupt PDT skeleton tag table")
         count = self.record_count
         tag_ids = struct.unpack_from(f">{count}H", payload, self.tag_ids_offset)
-        resolved: list[str] = []
-        for tag_id in tag_ids:
-            if tag_id >= len(names):
-                raise ValueError("corrupt PDT skeleton tag ids")
-            resolved.append(names[tag_id])
-        return tuple(resolved)
+        if tag_ids and max(tag_ids) >= len(names):
+            raise ValueError("corrupt PDT skeleton tag ids")
+        return tuple(map(names.__getitem__, tag_ids))
 
     def flags(self) -> bytes:
         return bytes(
@@ -1825,35 +1497,43 @@ class SkeletonLayout:
         offsets = struct.unpack_from(
             f">{count + 1}I", payload, self.value_index_offset
         )
-        if offsets[0] != 0 or offsets[-1] != self.values_size:
+        if (
+            offsets[0] != 0
+            or offsets[-1] != self.values_size
+            or any(map(int.__gt__, offsets, offsets[1:]))
+        ):
             raise ValueError("corrupt PDT skeleton value index")
         base = self.values_offset
-        values: list[Optional[str]] = []
-        position = 0
+        blob = bytes(payload[base:base + self.values_size])
         try:
-            for flag in flags:
-                if flag & 4:
-                    low, high = offsets[position], offsets[position + 1]
-                    if high < low:
-                        raise ValueError(
-                            "corrupt PDT skeleton value index"
-                        )
-                    values.append(
-                        bytes(payload[base + low:base + high]).decode("utf-8")
-                    )
-                    position += 1
-                else:
-                    values.append(None)
-        except IndexError as exc:
-            raise ValueError("corrupt PDT skeleton value index") from exc
+            texts = iter(
+                [
+                    blob[low:high].decode("utf-8")
+                    for low, high in zip(offsets, offsets[1:])
+                ]
+            )
         except UnicodeDecodeError as exc:
             raise ValueError("corrupt PDT skeleton values") from exc
-        if position != count:
+        present = [position for position, flag in enumerate(flags) if flag & 4]
+        if len(present) != count:
             raise ValueError("corrupt PDT skeleton value index")
+        values: list[Optional[str]] = [None] * len(flags)
+        for position in present:
+            values[position] = next(texts)
         return tuple(values)
 
 
-def _deserialize_skeleton_v2(payload) -> PDTSkeleton:
+def deserialize_skeleton(payload) -> SkeletonColumns:
+    """Decode :func:`serialize_skeleton` output back into its columns.
+
+    Accepts any bytes-like buffer (the snapshot store passes a read-only
+    mapping in ``mmap_mode``).  Every column is decoded and checked here,
+    once — keys well-formed and strictly ascending, tag ids in range,
+    offset tables consistent, text valid UTF-8, the content count equal
+    to the header's — so a payload either yields columns that compress
+    into a servable skeleton or raises ``ValueError``; callers (the
+    snapshot store) treat that as a miss, never as state to serve.
+    """
     layout = SkeletonLayout(payload)
     keys = layout.keys()
     tags = layout.tags()
@@ -1862,101 +1542,14 @@ def _deserialize_skeleton_v2(payload) -> PDTSkeleton:
     values = layout.values(flags)
     if sum(1 for flag in flags if flag & 2) != layout.content_count:
         raise ValueError("corrupt PDT skeleton content count")
-    records: dict[bytes, PDTRecord] = {}
-    new_record = PDTRecord.__new__
-    for position, key in enumerate(keys):
-        flag = flags[position]
-        record = new_record(PDTRecord)
-        record.key = key
-        record.tag = tags[position]
-        record.value = values[position]
-        record.byte_length = byte_lengths[position]
-        record.wants_value = bool(flag & 1)
-        record.wants_content = bool(flag & 2)
-        records[key] = record
-    return PDTSkeleton.from_records(
-        doc_name=layout.doc_name,
-        records=records,
-        entry_count=layout.entry_count,
-    )
-
-
-def deserialize_skeleton(payload: bytes) -> PDTSkeleton:
-    """Decode :func:`serialize_skeleton` output back into a skeleton.
-
-    Dispatches on the header version — current v2 column payloads and
-    legacy v1 per-record payloads both decode to the same eager
-    skeleton.  Raises ``ValueError`` on any malformed, truncated or
-    version-mismatched payload — callers (the snapshot store) treat
-    that as a miss, never as corrupt state to serve.
-    """
-    version = skeleton_payload_version(payload)
-    if version == _SKELETON_VERSION:
-        return _deserialize_skeleton_v2(payload)
-    if version == _SKELETON_VERSION_V1:
-        return _deserialize_skeleton_v1(payload)
-    raise ValueError(f"unsupported PDT skeleton version {version}")
-
-
-def _deserialize_skeleton_v1(payload: bytes) -> PDTSkeleton:
-    reader = _SkeletonReader(payload)
-    if reader.take(len(_SKELETON_MAGIC)) != _SKELETON_MAGIC:
-        raise ValueError("not a PDT skeleton payload")
-    version = reader.take_int(2)
-    if version != _SKELETON_VERSION_V1:
-        raise ValueError(f"unsupported PDT skeleton version {version}")
-    doc_name = reader.take_str()
-    entry_count = reader.take_int(8)
-    record_count = reader.take_int(4)
-    records: dict[bytes, PDTRecord] = {}
-    # The record loop parses with inline offset arithmetic — restoring a
-    # snapshot competes with rebuilding the skeleton, so per-field
-    # reader calls would eat the win.  One final bounds check suffices:
-    # every slice below is length-prefixed, and a lying prefix either
-    # trips the running ``end > total`` checks or the trailing-bytes
-    # check.
-    data = payload
-    offset = reader.offset
-    total = len(data)
-    new_record = PDTRecord.__new__
-    from_bytes = int.from_bytes
-    try:
-        for _ in range(record_count):
-            end = offset + 2
-            key_end = end + from_bytes(data[offset:end], "big")
-            key = data[end:key_end]
-            unpack(key)  # validates the packed form (and rejects empty)
-            end = key_end + 4
-            tag_end = end + from_bytes(data[key_end:end], "big")
-            if tag_end > total:
-                raise ValueError("truncated PDT skeleton payload")
-            tag = data[end:tag_end].decode("utf-8")
-            flags = data[tag_end]
-            end = tag_end + 9
-            byte_length = from_bytes(data[tag_end + 1:end], "big")
-            if flags & 4:
-                value_end = end + 4
-                end = value_end + from_bytes(data[end:value_end], "big")
-                if end > total:
-                    raise ValueError("truncated PDT skeleton payload")
-                value = data[value_end:end].decode("utf-8")
-            else:
-                value = None
-            record = new_record(PDTRecord)
-            record.key = key
-            record.tag = tag
-            record.value = value
-            record.byte_length = byte_length
-            record.wants_value = bool(flags & 1)
-            record.wants_content = bool(flags & 2)
-            records[key] = record
-            offset = end
-    except IndexError as exc:
-        raise ValueError("truncated PDT skeleton payload") from exc
-    if offset != total:
-        raise ValueError("trailing bytes in PDT skeleton payload")
-    return PDTSkeleton.from_records(
-        doc_name=doc_name, records=records, entry_count=entry_count
+    return SkeletonColumns(
+        layout.doc_name,
+        layout.entry_count,
+        keys,
+        tags,
+        flags.translate(_RECORD_FLAGS),
+        values,
+        byte_lengths,
     )
 
 
@@ -1986,7 +1579,7 @@ def _patch_tree_annotations(
 
 
 def patch_skeleton_byte_lengths(
-    skeleton: Union[PDTSkeleton, CompressedSkeleton],
+    skeleton: PDTSkeleton,
     ancestor_keys: tuple[bytes, ...],
     delta: int,
 ) -> int:
@@ -1994,35 +1587,35 @@ def patch_skeleton_byte_lengths(
 
     The delta-maintenance fast path for edits the engine classified as
     *skeleton-patchable*: no added or removed element matches the view's
-    QPT anywhere along its path, so the record set, the shared tree and
-    the content-slot bounds are all unchanged — only the serialized
-    lengths of the edit point's proper ancestors moved, by the same
-    ``delta`` each.  Patches both the record table and the matching
-    ``anno.byte_length`` annotations on the shared tree (the annotation
-    pass reads lengths from the tree).  Returns the number of skeleton
-    nodes patched; ancestors the skeleton does not materialize are
-    skipped — their lengths are simply not part of this view.
-
-    Skeleton representations other than the eager one (DAG-compressed,
-    mmap-restored) carry their own ``patch_byte_lengths`` and are
-    dispatched to it — same contract, same return value.
+    QPT anywhere along its path, so the keys, the shapes and the
+    content-slot bounds are all unchanged — only the serialized lengths
+    of the edit point's proper ancestors moved, by the same ``delta``
+    each.  Bisects each ancestor key into the sorted key array and
+    shifts its byte length (byte lengths are instance state, never part
+    of a shape); a live shared tree, if any, is patched through a
+    bounded ancestor-chain walk, since the annotation pass reads lengths
+    from the tree.  Returns the number of skeleton nodes patched;
+    ancestors the skeleton does not hold are skipped — their lengths
+    are simply not part of this view.
     """
-    patcher = getattr(skeleton, "patch_byte_lengths", None)
-    if patcher is not None:
-        return patcher(ancestor_keys, delta)
     if delta == 0 or not ancestor_keys:
         return 0
-    records = skeleton.records
-    remaining = {key for key in ancestor_keys if key in records}
-    if not remaining:
+    keys = skeleton.keys
+    byte_lengths = skeleton.byte_lengths
+    count = len(keys)
+    patched: set[bytes] = set()
+    for key in ancestor_keys:
+        position = bisect_left(keys, key)
+        if position < count and keys[position] == key:
+            byte_lengths[position] += delta
+            patched.add(key)
+    if not patched:
         return 0
-    for key in remaining:
-        records[key].byte_length += delta
-    patched = len(remaining)
-    _patch_tree_annotations(
-        skeleton.tree, remaining, ancestor_keys[-1], delta
-    )
-    return patched
+    ref = skeleton._tree_ref
+    tree = ref() if ref is not None else None
+    if tree is not None:
+        _patch_tree_annotations(tree, set(patched), ancestor_keys[-1], delta)
+    return len(patched)
 
 
 def build_skeleton(
@@ -2031,35 +1624,31 @@ def build_skeleton(
     path_lists: Optional[dict] = None,
     probed: Optional[frozenset] = None,
     inpdt_fast_path: bool = True,
-) -> PDTSkeleton:
+) -> SkeletonColumns:
     """Run the structural pass for a ``(view, document)`` pair.
 
     ``path_lists`` can be supplied to reuse already-issued path-index
     probes (the engine's prepared tier); otherwise the keyword-free half
     of PrepareLists is issued here.  No inverted-index probe is ever
-    made — the skeleton carries no keyword data.
+    made — the skeleton carries no keyword data.  Returns the record
+    columns; :func:`compress_skeleton` turns them into a servable
+    :class:`PDTSkeleton`.
 
-    The default pass is the array sweep
-    (:func:`_collect_records_swept`); ``inpdt_fast_path=False`` routes
-    through the stack automaton with the Section 4.2.2.1 fast path
-    disabled — the ablation baseline, same output.
+    The default pass is the array sweep (:func:`_collect_swept`);
+    ``inpdt_fast_path=False`` routes through the stack automaton with
+    the Section 4.2.2.1 fast path disabled — the ablation baseline,
+    same output.
     """
     if path_lists is None:
         path_lists = prepare_path_lists(qpt, path_index)
     if probed is None:
         probed = frozenset(path_lists)
     lists = PreparedLists(path_lists=path_lists, inv_lists={}, probed=probed)
+    entry_count = sum(len(lst) for lst in path_lists.values())
     if inpdt_fast_path:
-        records = _collect_records_swept(qpt, lists, path_index)
-    else:
-        records = _PDTBuilder(
-            qpt, lists, path_index, inpdt_fast_path=False
-        ).run()
-    return PDTSkeleton.from_records(
-        doc_name=qpt.doc_name,
-        records=records,
-        entry_count=sum(len(lst) for lst in path_lists.values()),
-    )
+        return _collect_swept(qpt, lists, path_index, entry_count)
+    records = _PDTBuilder(qpt, lists, path_index, inpdt_fast_path=False).run()
+    return SkeletonColumns.from_records(qpt.doc_name, records, entry_count)
 
 
 def annotate_skeleton(
@@ -2119,7 +1708,8 @@ def generate_pdt(
     :func:`repro.xmlmodel.tokenizer.normalize_keyword`).  ``lists`` can be
     supplied to reuse probes (the engine prepares them once per query) and
     ``skeleton`` to reuse a cached structural pass (the engine's skeleton
-    tier); when a skeleton is given the path index is never touched.
+    tier); when a skeleton is given the path index is never touched.  A
+    fresh build is compressed against a private shape table.
     """
     if lists is not None:
         inv_lists = lists.inv_lists
@@ -2129,13 +1719,14 @@ def generate_pdt(
         lists = prepare_lists(qpt, path_index, inverted_index, keywords)
         inv_lists = lists.inv_lists
     if skeleton is None:
-        skeleton = build_skeleton(
+        columns = build_skeleton(
             qpt,
             path_index,
             path_lists=lists.path_lists,
             probed=lists.probed,
             inpdt_fast_path=inpdt_fast_path,
         )
+        skeleton = compress_skeleton(columns, ShapeTable())
     return annotate_skeleton(skeleton, inv_lists, keywords)
 
 

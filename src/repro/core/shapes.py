@@ -1,18 +1,16 @@
 """Hash-consed skeleton shapes: the DAG-compression vocabulary.
 
-A :class:`~repro.core.pdt.PDTSkeleton` stores one record per surviving
-element — but across an INEX-style repetitive corpus the *structure* of
-those records (tags, nesting, which nodes want values or content) is
-overwhelmingly shared: every ``article`` record subtree looks like every
-other ``article`` record subtree, differing only in its Dewey keys and
-leaf values.  Following the DAG-compression line of work (Böttcher et
+A PDT skeleton has one record per surviving element — but across an
+INEX-style repetitive corpus the *structure* of those records (tags,
+nesting, which nodes want values or content) is overwhelmingly shared:
+every ``article`` record subtree looks like every other ``article``
+record subtree, differing only in its Dewey keys and leaf values.  Following the DAG-compression line of work (Böttcher et
 al., "Efficient XML Keyword Search based on DAG-Compression"), this
 module hash-conses those isomorphic subtrees:
 
 * a :class:`Shape` is one distinct subtree structure — ``(tag,
-  wants_value, wants_content, child shapes)`` — interned so each
-  distinct structure exists **once per process**, within and across
-  skeletons;
+  flags, child shapes)`` — interned so each distinct structure exists
+  **once per process**, within and across skeletons;
 * a :class:`ShapeTable` is the interning authority an engine (or a
   whole sharded corpus) shares between all its skeletons;
 * each shape lazily caches the *preorder columns* of its subtree (tags,
@@ -36,18 +34,13 @@ from typing import Iterable, Optional, Sequence
 _DIGEST_SIZE = 16
 
 
-def _shape_digest(
-    tag: str, wants_value: bool, wants_content: bool,
-    children: Sequence["Shape"],
-) -> bytes:
+def _shape_digest(tag: str, flags: int, children: Sequence["Shape"]) -> bytes:
     """Canonical 128-bit structure digest (``PYTHONHASHSEED``-free)."""
     hasher = blake2b(digest_size=_DIGEST_SIZE)
     raw = tag.encode("utf-8")
     hasher.update(len(raw).to_bytes(4, "big"))
     hasher.update(raw)
-    hasher.update(
-        bytes(((1 if wants_value else 0) | (2 if wants_content else 0),))
-    )
+    hasher.update(bytes((flags,)))
     hasher.update(len(children).to_bytes(4, "big"))
     for child in children:
         hasher.update(child.digest)
@@ -55,8 +48,10 @@ def _shape_digest(
 
 
 class Shape:
-    """One distinct subtree structure, interned by content digest.
+    """One distinct subtree structure, interned once per shape table.
 
+    ``flags`` is the record flag byte of the subtree root (bit0
+    wants_value, bit1 wants_content — the skeleton wire encoding).
     Immutable after construction (the lazily-built preorder column
     cache is write-once and idempotent, so a benign compute race between
     threads settles on identical tuples).  ``size`` counts the subtree's
@@ -67,8 +62,7 @@ class Shape:
     __slots__ = (
         "digest",
         "tag",
-        "wants_value",
-        "wants_content",
+        "flags",
         "children",
         "size",
         "content_count",
@@ -79,31 +73,24 @@ class Shape:
         self,
         digest: bytes,
         tag: str,
-        wants_value: bool,
-        wants_content: bool,
+        flags: int,
         children: tuple["Shape", ...],
     ):
         self.digest = digest
         self.tag = tag
-        self.wants_value = wants_value
-        self.wants_content = wants_content
+        self.flags = flags
         self.children = children
         self.size = 1 + sum(child.size for child in children)
-        self.content_count = (1 if wants_content else 0) + sum(
+        self.content_count = (1 if flags & 2 else 0) + sum(
             child.content_count for child in children
         )
         self._columns: Optional[tuple] = None
 
-    def columns(self) -> tuple[
-        tuple[str, ...],
-        tuple[bool, ...],
-        tuple[bool, ...],
-        tuple[int, ...],
-    ]:
+    def columns(self) -> tuple[tuple[str, ...], bytes, tuple[int, ...]]:
         """Preorder columns of this subtree, computed once per shape.
 
-        Returns ``(tags, wants_value, wants_content, content_positions)``
-        where ``content_positions`` lists the preorder indices of the
+        Returns ``(tags, flags, content_positions)`` where
+        ``content_positions`` lists the preorder indices of the
         ``wants_content`` nodes.  This is the "per-shape computation
         reused across instances": a skeleton's full columns are pure
         concatenations of its top-level shapes' cached columns, so a
@@ -114,24 +101,17 @@ class Shape:
         if cached is not None:
             return cached
         tags: list[str] = []
-        wants_value: list[bool] = []
-        wants_content: list[bool] = []
+        flags = bytearray()
         content_positions: list[int] = []
         stack: list[Shape] = [self]
         while stack:
             shape = stack.pop()
-            if shape.wants_content:
+            if shape.flags & 2:
                 content_positions.append(len(tags))
             tags.append(shape.tag)
-            wants_value.append(shape.wants_value)
-            wants_content.append(shape.wants_content)
+            flags.append(shape.flags)
             stack.extend(reversed(shape.children))
-        cached = (
-            tuple(tags),
-            tuple(wants_value),
-            tuple(wants_content),
-            tuple(content_positions),
-        )
+        cached = (tuple(tags), bytes(flags), tuple(content_positions))
         self._columns = cached
         return cached
 
@@ -148,12 +128,14 @@ class ShapeTable:
     Shareable across every skeleton of an engine — and, via the sharding
     layer, across all shard executors of a corpus — so repetitive
     structure is stored once per *process*, not once per ``(view, doc)``
-    pair.  Interning is keyed by the canonical blake2b digest, making
-    placement stable across processes and hash seeds.
+    pair.  Interning is keyed by structure — tag, flags and the
+    (already interned, hence identity-comparable) children — so a hit
+    costs one dict probe; each new shape also gets its canonical
+    blake2b digest, stable across processes and hash seeds.
     """
 
     def __init__(self) -> None:
-        self._shapes: dict[bytes, Shape] = {}
+        self._shapes: dict[tuple, Shape] = {}
         self._lock = threading.Lock()
         self.hits = 0
         self.interned = 0
@@ -162,43 +144,19 @@ class ShapeTable:
         with self._lock:
             return len(self._shapes)
 
-    def intern(
-        self,
-        tag: str,
-        wants_value: bool,
-        wants_content: bool,
-        children: tuple[Shape, ...],
-    ) -> Shape:
-        """The canonical shape for this structure (created on first use).
-
-        ``children`` must already be interned in document order; the
-        digest is computed outside the lock, so contention is one dict
-        probe per node.
-        """
-        digest = _shape_digest(tag, wants_value, wants_content, children)
-        with self._lock:
-            shape = self._shapes.get(digest)
-            if shape is not None:
-                self.hits += 1
-                return shape
-            shape = Shape(digest, tag, wants_value, wants_content, children)
-            self._shapes[digest] = shape
-            self.interned += 1
-            return shape
-
     def intern_forest(
         self,
         tags: Sequence[str],
-        wants_value: Sequence[bool],
-        wants_content: Sequence[bool],
+        flags: Sequence[int],
         parents: Sequence[int],
     ) -> tuple[Shape, ...]:
         """Intern a whole skeleton's records bottom-up.
 
-        The inputs are preorder columns plus the parent-position array
-        (``-1`` for top-level records, parents before children — exactly
-        the order :meth:`PDTSkeleton.from_records` produces).  Returns
-        the top-level shapes, in document order.
+        The inputs are preorder columns (flag bits above bit1 are
+        ignored) plus the parent-position array (``-1`` for top-level
+        records, parents before children — the order
+        :func:`repro.core.pdt.compress_skeleton` derives from the sorted
+        keys).  Returns the top-level shapes, in document order.
         """
         count = len(tags)
         child_lists: list[list[int]] = [[] for _ in range(count)]
@@ -209,16 +167,26 @@ class ShapeTable:
             else:
                 roots.append(position)
         shapes: list[Optional[Shape]] = [None] * count
+        shape_at = shapes.__getitem__
+        interned = self._shapes
         # Preorder guarantees children sit after their parent, so a
         # reverse sweep interns every child before its parent.
-        for position in range(count - 1, -1, -1):
-            shapes[position] = self.intern(
-                tags[position],
-                wants_value[position],
-                wants_content[position],
-                tuple(shapes[child] for child in child_lists[position]),
-            )
-        return tuple(shapes[position] for position in roots)
+        with self._lock:
+            for position in range(count - 1, -1, -1):
+                tag = tags[position]
+                flag = flags[position] & 3
+                children = tuple(map(shape_at, child_lists[position]))
+                structure = (tag, flag, children)
+                shape = interned.get(structure)
+                if shape is None:
+                    digest = _shape_digest(tag, flag, children)
+                    shape = Shape(digest, tag, flag, children)
+                    interned[structure] = shape
+                    self.interned += 1
+                else:
+                    self.hits += 1
+                shapes[position] = shape
+        return tuple(map(shape_at, roots))
 
     # -- diagnostics ---------------------------------------------------------
 
@@ -234,9 +202,10 @@ class ShapeTable:
         total = 0
         seen: set[int] = set()
         with self._lock:
-            shapes = list(self._shapes.values())
+            entries = list(self._shapes.items())
             total += getsizeof(self._shapes)
-        for shape in shapes:
+        for structure, shape in entries:
+            total += getsizeof(structure)
             total += 64  # object header + slot storage (no __dict__)
             total += getsizeof(shape.digest)
             total += getsizeof(shape.children)
@@ -258,16 +227,12 @@ class ShapeTable:
             }
 
 
-def forest_columns(
-    roots: Iterable[Shape],
-) -> tuple[tuple[str, ...], tuple[bool, ...], tuple[bool, ...]]:
-    """Concatenated preorder columns of a top-level shape sequence."""
+def forest_columns(roots: Iterable[Shape]) -> tuple[tuple[str, ...], bytes]:
+    """Concatenated preorder ``(tags, flags)`` of a top-level shape sequence."""
     tags: list[str] = []
-    wants_value: list[bool] = []
-    wants_content: list[bool] = []
+    flags = bytearray()
     for root in roots:
-        shape_tags, shape_wv, shape_wc, _ = root.columns()
+        shape_tags, shape_flags, _ = root.columns()
         tags.extend(shape_tags)
-        wants_value.extend(shape_wv)
-        wants_content.extend(shape_wc)
-    return tuple(tags), tuple(wants_value), tuple(wants_content)
+        flags += shape_flags
+    return tuple(tags), bytes(flags)

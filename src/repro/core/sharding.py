@@ -291,7 +291,6 @@ class ShardExecutor:
         enable_cache: bool = True,
         snapshot_store: Optional[SkeletonStore] = None,
         database: Optional[XMLDatabase] = None,
-        dag_compression: bool = True,
         shape_table: Optional[ShapeTable] = None,
         fault_injector: Optional[FaultInjector] = None,
     ):
@@ -304,7 +303,6 @@ class ShardExecutor:
             cache=cache,
             enable_cache=enable_cache,
             snapshot_store=snapshot_store,
-            dag_compression=dag_compression,
             shape_table=shape_table,
         )
         self._fragments: dict[str, tuple[Fragment, ...]] = {}

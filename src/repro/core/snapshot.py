@@ -27,14 +27,15 @@ Writes are atomic (temp file + ``os.replace``) so concurrent readers
 never observe a torn snapshot; corrupt or truncated payloads read back
 as misses, never as data.
 
-Two load paths exist.  The default **eager** path parses the payload
-back into a full :class:`PDTSkeleton` on the spot.  With
-``mmap_mode=True`` the store instead memory-maps v2 payloads and
-returns a :class:`MappedSkeleton`: load time is an O(1) header
-validation plus a page table entry, the column arrays stay on disk
-until something actually dereferences them, and the first deep access
-(annotation, compression) materializes the eager skeleton lazily.
-Legacy v1 payloads fall back to the eager parse transparently.
+A load returns the payload's :class:`~repro.core.pdt.SkeletonColumns` —
+the same record the structural pass returns — which the engine
+compresses into a :class:`~repro.core.pdt.PDTSkeleton`.  There is one
+load path: read the file (or, with ``mmap_mode=True``, map it and
+decode from the mapped pages without copying the file first), decode
+and check every column once, release any mapping, and count a miss —
+reclaiming the file — when any check fails.  A loaded result therefore
+holds no file or mapping, and a corrupt column is caught at load, never
+at first use.
 """
 
 from __future__ import annotations
@@ -47,149 +48,10 @@ from pathlib import Path
 from typing import Iterator, Optional, Union
 
 from repro.core.faults import FAULT_CORRUPT, FaultInjector
-from repro.core.pdt import (
-    PDTSkeleton,
-    SkeletonLayout,
-    _SKELETON_VERSION,
-    patch_skeleton_byte_lengths,
-    serialize_skeleton,
-    skeleton_payload_version,
-)
+from repro.core.pdt import PDTSkeleton, SkeletonColumns, deserialize_skeleton
 from repro.errors import InjectedFaultError
 
 _SUFFIX = ".pdts"
-
-
-class MappedSkeleton:
-    """A zero-copy skeleton view over an mmap-ed v2 snapshot payload.
-
-    Construction validates the offset-table header in O(1) — magic,
-    version and the total-length equation over the section sizes — and
-    decodes only the document name; the packed column arrays are left
-    on disk for the OS to page in on demand.  The cheap identity facts
-    an engine checks before admitting a snapshot (``doc_name``,
-    ``entry_count``, ``node_count``) never touch the columns at all.
-
-    Deep access (``tree``, ``bounds``, ``records``, annotation) routes
-    through a lazily-materialized inner eager skeleton; column
-    corruption beyond the header is therefore surfaced at first deep
-    access (as ``ValueError``), not at load — the documented trade for
-    page-in restores.  Delta patches materialize too, and flip the
-    instance to re-encode on ``to_bytes`` so patched state round-trips.
-    """
-
-    __slots__ = ("_buffer", "_close", "_layout", "_inner", "_patched")
-
-    def __init__(self, buffer, close=None):
-        self._layout = SkeletonLayout(buffer)  # O(1) header validation
-        self._buffer = buffer
-        self._close = close
-        self._inner: Optional[PDTSkeleton] = None
-        self._patched = False
-
-    # -- O(1) facts ----------------------------------------------------------
-
-    @property
-    def doc_name(self) -> str:
-        return self._layout.doc_name
-
-    @property
-    def entry_count(self) -> int:
-        return self._layout.entry_count
-
-    @property
-    def node_count(self) -> int:
-        return self._layout.record_count
-
-    @property
-    def content_count(self) -> int:
-        return self._layout.content_count
-
-    def stats(self) -> dict[str, int]:
-        return {"nodes": self.node_count, "entries": self.entry_count}
-
-    @property
-    def memory_bytes(self) -> int:
-        """Mapped pages until materialized, the eager estimate after."""
-        inner = self._inner
-        if inner is not None:
-            return inner.memory_bytes
-        return len(self._buffer)
-
-    # -- lazy deep surface ---------------------------------------------------
-
-    def _skeleton(self) -> PDTSkeleton:
-        inner = self._inner
-        if inner is None:
-            inner = PDTSkeleton.from_bytes(self._buffer)
-            self._inner = inner
-        return inner
-
-    @property
-    def records(self):
-        return self._skeleton().records
-
-    @property
-    def ordered(self):
-        return self._skeleton().ordered
-
-    @property
-    def parents(self):
-        return self._skeleton().parents
-
-    @property
-    def slots(self):
-        return self._skeleton().slots
-
-    @property
-    def dewey_ids(self):
-        return self._skeleton().dewey_ids
-
-    @property
-    def bounds(self):
-        return self._skeleton().bounds
-
-    @property
-    def slot_bounds(self):
-        return self._skeleton().slot_bounds
-
-    @property
-    def tree(self):
-        return self._skeleton().tree
-
-    # -- serialization / maintenance -----------------------------------------
-
-    def to_bytes(self) -> bytes:
-        """The payload itself — byte-identical until patched."""
-        if self._patched:
-            return serialize_skeleton(self._skeleton())
-        return bytes(self._buffer)
-
-    def patch_byte_lengths(
-        self, ancestor_keys: tuple[bytes, ...], delta: int
-    ) -> int:
-        """Apply a delta patch (materializes; marks for re-encode)."""
-        inner = self._skeleton()
-        patched = patch_skeleton_byte_lengths(inner, ancestor_keys, delta)
-        if patched:
-            self._patched = True
-        return patched
-
-    def close(self) -> None:
-        """Release the underlying mapping (idempotent)."""
-        close = self._close
-        self._close = None
-        if close is not None:
-            try:
-                close()
-            except OSError:  # pragma: no cover - platform-specific
-                pass
-
-    def __repr__(self) -> str:
-        return (
-            f"<MappedSkeleton {self.doc_name!r} nodes={self.node_count} "
-            f"bytes={len(self._buffer)}>"
-        )
 
 
 class SkeletonStore:
@@ -202,13 +64,9 @@ class SkeletonStore:
     the only mutable in-memory state is the counters, which are guarded
     by a lock.
 
-    ``mmap_mode=True`` switches :meth:`load` to the zero-copy path:
-    v2 payloads come back as :class:`MappedSkeleton` (header-validated,
-    columns paged in on demand); v1 payloads and platforms where
-    mapping fails fall back to the eager parse.  The default stays
-    eager — a fully-decoded skeleton with no open file mappings —
-    which is also the strictest validation point for store hygiene
-    (corrupt payloads are detected and reclaimed at load, not later).
+    ``mmap_mode=True`` makes :meth:`load` decode from a read-only
+    mapping of the file instead of a copy of its bytes; the result and
+    the validation are the same in both modes.
 
     ``fault_injector`` arms the chaos sites ``store.load`` and
     ``store.save``: an injected *error* on a load behaves exactly like
@@ -261,9 +119,10 @@ class SkeletonStore:
         self,
         doc_fingerprint: str,
         qpt_hash: str,
-        skeleton: PDTSkeleton,
+        skeleton: Union[SkeletonColumns, PDTSkeleton],
     ) -> Path:
-        """Persist a skeleton; atomic, last-writer-wins.
+        """Persist a skeleton (or the columns it is built from); atomic,
+        last-writer-wins.
 
         Concurrent writers racing on the same key write identical
         content (the key pins both inputs of the pure function), so the
@@ -340,15 +199,13 @@ class SkeletonStore:
 
     def load(
         self, doc_fingerprint: str, qpt_hash: str
-    ) -> Optional[Union[PDTSkeleton, MappedSkeleton]]:
-        """The stored skeleton, or ``None`` (missing *or* unreadable).
+    ) -> Optional[SkeletonColumns]:
+        """The stored skeleton's columns, or ``None`` (missing *or*
+        unreadable).
 
         A corrupt file counts as a miss and is removed so the next
         build re-snapshots cleanly (see :meth:`_unlink_if_unchanged`
-        for why the cleanup is stat-guarded).  In ``mmap_mode`` a valid
-        v2 payload comes back as a :class:`MappedSkeleton` without
-        reading the columns; anything else falls back to the eager
-        parse below.
+        for why the cleanup is stat-guarded).
         """
         corrupt = None
         if self._faults is not None:
@@ -361,79 +218,40 @@ class SkeletonStore:
             if event is not None and event.kind == FAULT_CORRUPT:
                 corrupt = event
         target = self.path_for(doc_fingerprint, qpt_hash)
-        if self.mmap_mode and corrupt is None:
-            return self._load_mapped(target)
+        mapping = None
         try:
             before = target.stat()
-            payload = target.read_bytes()
+            with open(target, "rb") as handle:
+                if self.mmap_mode:
+                    payload = mapping = mmap.mmap(
+                        handle.fileno(), 0, access=mmap.ACCESS_READ
+                    )
+                else:
+                    payload = handle.read()
         except OSError:
             self._count("misses")
             return None
-        if corrupt is not None:
-            # Injected read corruption: the mangled bytes fail the parse
-            # below, so the load counts as a miss and the (actually
-            # fine) file is reclaimed — exactly what real on-disk rot
-            # would cost: a rebuild, never wrong data.
-            payload = self._faults.mangle(corrupt, payload)
-        try:
-            skeleton = PDTSkeleton.from_bytes(payload)
         except ValueError:
+            payload = b""  # an empty file cannot be mapped; rejected below
+        try:
+            if corrupt is not None:
+                # Injected read corruption: the mangled bytes fail the
+                # decode, so the load counts as a miss and the (actually
+                # fine) file is reclaimed — exactly what real on-disk
+                # rot would cost: a rebuild, never wrong data.
+                payload = self._faults.mangle(corrupt, bytes(payload))
+            columns = deserialize_skeleton(payload)
+        except ValueError:
+            columns = None
+        finally:
+            if mapping is not None:
+                mapping.close()
+        if columns is None:
             self._count("misses")
             self._unlink_if_unchanged(target, before)
             return None
         self._count("hits")
-        return skeleton
-
-    def _load_mapped(
-        self, target: Path
-    ) -> Optional[Union[PDTSkeleton, MappedSkeleton]]:
-        """The zero-copy load path: map pages, validate the header only."""
-        try:
-            before = target.stat()
-            handle = open(target, "rb")
-        except OSError:
-            self._count("misses")
-            return None
-        try:
-            try:
-                mapping = mmap.mmap(
-                    handle.fileno(), 0, access=mmap.ACCESS_READ
-                )
-            finally:
-                handle.close()
-        except (OSError, ValueError):
-            # Unmappable (e.g. an empty file): nothing valid to serve.
-            self._count("misses")
-            self._unlink_if_unchanged(target, before)
-            return None
-        try:
-            version = skeleton_payload_version(mapping)
-        except ValueError:
-            mapping.close()
-            self._count("misses")
-            self._unlink_if_unchanged(target, before)
-            return None
-        if version != _SKELETON_VERSION:
-            # Legacy payload: decode eagerly, release the mapping.
-            payload = bytes(mapping)
-            mapping.close()
-            try:
-                skeleton = PDTSkeleton.from_bytes(payload)
-            except ValueError:
-                self._count("misses")
-                self._unlink_if_unchanged(target, before)
-                return None
-            self._count("hits")
-            return skeleton
-        try:
-            mapped = MappedSkeleton(mapping, close=mapping.close)
-        except ValueError:
-            mapping.close()
-            self._count("misses")
-            self._unlink_if_unchanged(target, before)
-            return None
-        self._count("hits")
-        return mapped
+        return columns
 
     def discard(self, doc_fingerprint: str, qpt_hash: str) -> bool:
         """Remove one snapshot if present; missing is not an error.

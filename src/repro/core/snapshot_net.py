@@ -54,12 +54,12 @@ import time
 import urllib.error
 import urllib.request
 from pathlib import Path
-from typing import Callable, Iterator, Optional, Protocol, Union
+from typing import Callable, Iterator, Optional, Protocol
 
 from repro.core.faults import FAULT_CORRUPT, FaultInjector
 from repro.core.health import CircuitBreaker
-from repro.core.pdt import PDTSkeleton, SkeletonLayout
-from repro.core.snapshot import MappedSkeleton, SkeletonStore
+from repro.core.pdt import SkeletonColumns, SkeletonLayout
+from repro.core.snapshot import SkeletonStore
 from repro.errors import InjectedFaultError, SnapshotFetchError
 
 __all__ = [
@@ -157,13 +157,12 @@ class NetworkedSkeletonStore:
     ``discard`` / ``prune`` / ``stats`` surface, same
     content-digest keys.  Only ``load`` changes: a local miss consults
     the peer (gated by the circuit breaker), validates the fetched
-    bytes structurally (the O(1) :class:`SkeletonLayout` admission
-    check the mmap tier uses), writes them through to the local store
-    and re-loads from disk — so a fetched snapshot behaves exactly
-    like a locally-saved one (including ``mmap_mode`` zero-copy
-    restores, and including the eager mode's full-parse rejection of
-    deeper corruption) and every later load, in this process or a
-    sibling sharing the directory, is local.
+    bytes structurally (the O(1) :class:`SkeletonLayout` header
+    check), writes them through to the local store and re-loads from
+    disk — so a fetched snapshot behaves exactly like a locally-saved
+    one (including the local load's column checks, which reject deeper
+    corruption in either mode) and every later load, in this process or
+    a sibling sharing the directory, is local.
 
     Network activity is counted separately from the local store's
     hit/miss counters: ``net_stats`` reports ``fetched`` (peer
@@ -200,7 +199,7 @@ class NetworkedSkeletonStore:
 
     def load(
         self, doc_fingerprint: str, qpt_hash: str
-    ) -> Optional[Union[PDTSkeleton, MappedSkeleton]]:
+    ) -> Optional[SkeletonColumns]:
         found = self.local.load(doc_fingerprint, qpt_hash)
         if found is not None:
             return found
@@ -239,7 +238,7 @@ class NetworkedSkeletonStore:
 
     def _fetch_through(
         self, doc_fingerprint: str, qpt_hash: str
-    ) -> Optional[Union[PDTSkeleton, MappedSkeleton]]:
+    ) -> Optional[SkeletonColumns]:
         if not self.breaker.allow():
             self._count("fell_back")
             return None
@@ -257,10 +256,8 @@ class NetworkedSkeletonStore:
             return None
         try:
             # O(1) structural validation — magic, version, the offset
-            # table's total-length equation — the same admission check
-            # the mmap tier applies to a local file.  A full eager
-            # parse here would cost more than the cold build it is
-            # supposed to replace.
+            # table's total-length equation — so a payload that is not
+            # even shaped like a snapshot never reaches the disk.
             SkeletonLayout(payload)
         except ValueError:
             self._count("fetch_failed", "fell_back")
@@ -270,9 +267,10 @@ class NetworkedSkeletonStore:
         # hit counters see a fetched snapshot exactly like a saved one.
         restored = self.local.load(doc_fingerprint, qpt_hash)
         if restored is None:
-            # An eager-mode local load full-parses: corruption below
-            # the offset table is rejected (and the file reclaimed)
-            # there, after the cheap check above admitted it.
+            # The local load decodes and checks every column (in either
+            # mode): corruption below the offset table is rejected (and
+            # the file reclaimed) there, after the cheap check above
+            # admitted it.
             self._count("fetch_failed", "fell_back")
             return None
         self._count("fetched")

@@ -1,22 +1,26 @@
 """Differential DAG-compression configuration (the ``compressed`` config).
 
-Compression is a pure representation change, so the checks here demand
-**bit identity**, not mere equivalence: for every generated scenario the
-``dag_compression=True`` engine must produce ranked outcomes exactly
-equal (``==`` on floats, ranks, document-order indexes and serialized
-XML) to the uncompressed engine, with both also matching the naive
-materialize-then-search baseline, and the skeleton-tier state must
-serialize to byte-identical payloads.  The matrix covers:
+Every skeleton an engine serves is DAG-compressed against its shape
+table, and compression is a pure representation change, so the checks
+here demand **bit identity**, not mere equivalence: for every generated
+scenario the caching engine must produce ranked outcomes exactly equal
+(``==`` on floats, ranks, document-order indexes and serialized XML) to
+a cache-free engine, with both also matching the naive
+materialize-then-search baseline, and the skeleton-tier state is
+compared by the sha256 of its wire bytes (the wire digest).  The matrix
+covers:
 
-* plain engines (compressed vs uncompressed vs baseline);
-* snapshot restores, eager and ``mmap_mode`` — four restore
-  configurations (mmap × compression) all serving first contact at
-  ``snapshot`` depth with identical results;
-* sharded scatter-gather at shard counts 1 and 2 with compressed
-  executors sharing one shape table;
-* ``mutations``-style subtree edit streams replayed against both
-  engines, checking outcome and skeleton-state identity after every
-  edit.
+* plain engines (caching vs cache-free vs baseline), with the warm
+  skeleton tier digesting like a fresh structural pass;
+* snapshot restores through the store's read and ``mmap_mode`` loads,
+  both serving first contact at ``snapshot`` depth with identical
+  results and identical restored skeleton digests;
+* sharded scatter-gather at shard counts 1 and 2 with executors sharing
+  one shape table;
+* ``mutations``-style subtree edit streams, checking outcome identity
+  after every edit, and that the (patched or rebuilt) skeleton tier
+  digests like the snapshots the edit forwarded, restored through both
+  load modes.
 """
 
 from __future__ import annotations
@@ -28,9 +32,17 @@ import pytest
 
 from repro.baselines.naive import BaselineEngine
 from repro.core.engine import KeywordSearchEngine
-from repro.core.sharding import CorpusCoordinator, ShardExecutor, ShardPlan
+from repro.core.pdt import build_skeleton
+from repro.core.sharding import (
+    CorpusCoordinator,
+    ShardExecutor,
+    ShardPlan,
+    view_fragments,
+)
 from repro.core.shapes import ShapeTable
 from repro.core.snapshot import SkeletonStore
+from repro.xquery.functions import inline_functions
+from repro.xquery.parser import parse_query
 
 from difftest.generators import (
     apply_mutation,
@@ -64,23 +76,32 @@ def _assert_bit_identical(out, ref, context: str) -> None:
     ], context
 
 
-def _skeleton_digests(engine) -> dict[str, str]:
-    """Per-document sha256 of every skeleton-tier entry's wire bytes.
+def _digest(payload: bytes) -> str:
+    return hashlib.sha256(payload).hexdigest()
 
-    The serialization is representation-independent (compressed, eager
-    and mapped skeletons of the same state emit identical payloads), so
-    two engines over identical corpora must digest identically whatever
-    their cache tiers hold.
-    """
+
+def _skeleton_digests(engine) -> dict[str, str]:
+    """Per-document sha256 of every skeleton-tier entry's wire bytes."""
     tier = engine.cache.skeletons
     digests: dict[str, str] = {}
     with tier._hold_all_locks():
         for shard in tier._shards:
             for key, skeleton in shard._data.items():
-                digests[key[1]] = hashlib.sha256(
-                    skeleton.to_bytes()
-                ).hexdigest()
+                digests[key[1]] = _digest(skeleton.to_bytes())
     return digests
+
+
+def _fresh_digests(engine, view) -> dict[str, str]:
+    """The wire digests a fresh structural pass gives for ``view`` over
+    the engine's current documents — what its skeleton tier must hold."""
+    return {
+        doc_name: _digest(
+            build_skeleton(
+                qpt, engine.database.get(doc_name).path_index
+            ).to_bytes()
+        )
+        for doc_name, qpt in view.qpts.items()
+    }
 
 
 # -- plain engines ---------------------------------------------------------------
@@ -92,32 +113,30 @@ def test_compressed_engine_is_bit_identical(seed):
     baseline = BaselineEngine(baseline_case.database)
     bview = baseline.define_view("truth", baseline_case.view_text)
 
-    engines = {}
-    views = {}
-    for dag in (False, True):
-        case = generate_case(seed)
-        engines[dag] = KeywordSearchEngine(
-            case.database, dag_compression=dag
-        )
-        views[dag] = engines[dag].define_view("v", case.view_text)
-        engines[dag].warm_view(views[dag])
+    case = generate_case(seed)
+    engine = KeywordSearchEngine(case.database)
+    view = engine.define_view("v", case.view_text)
+    engine.warm_view(view)
+    free_case = generate_case(seed)
+    free = KeywordSearchEngine(free_case.database, enable_cache=False)
+    free_view = free.define_view("v", free_case.view_text)
 
     context = f"seed={seed} [warm-state]"
-    assert _skeleton_digests(engines[True]) == _skeleton_digests(
-        engines[False]
-    ), f"{context}: skeleton tiers diverged"
+    assert _skeleton_digests(engine) == _fresh_digests(engine, view), (
+        f"{context}: skeleton tier diverged from a fresh build"
+    )
 
     for keywords in baseline_case.keyword_sets:
         for conjunctive in (True, False):
             context = f"seed={seed} kw={keywords} conj={conjunctive}"
-            compressed = engines[True].search_detailed(
-                views[True], keywords, TOP_K, conjunctive
+            compressed = engine.search_detailed(
+                view, keywords, TOP_K, conjunctive
             )
-            eager = engines[False].search_detailed(
-                views[False], keywords, TOP_K, conjunctive
+            uncached = free.search_detailed(
+                free_view, keywords, TOP_K, conjunctive
             )
             _assert_bit_identical(
-                compressed, eager, f"{context} [compressed-vs-eager]"
+                compressed, uncached, f"{context} [cached-vs-cache-free]"
             )
             bout = baseline.search_detailed(
                 bview, keywords, TOP_K, conjunctive
@@ -132,17 +151,16 @@ def test_compressed_engine_is_bit_identical(seed):
 
 @pytest.mark.parametrize("seed", _seed_matrix())
 def test_restore_matrix_is_bit_identical(seed):
-    """mmap × compression: four restore paths, one answer."""
+    """Read and mmap-mode restores: one answer, one skeleton state."""
     store_dir_name = "snapshots"
 
-    def run(tmp_root, mmap_mode: bool, dag: bool):
+    def run(tmp_root, mmap_mode: bool):
         case = generate_case(seed)
         engine = KeywordSearchEngine(
             case.database,
             snapshot_store=SkeletonStore(
                 tmp_root / store_dir_name, mmap_mode=mmap_mode
             ),
-            dag_compression=dag,
         )
         view = engine.define_view("v", case.view_text)
         return engine, view, case
@@ -152,46 +170,36 @@ def test_restore_matrix_is_bit_identical(seed):
 
     with tempfile.TemporaryDirectory() as raw:
         tmp_root = Path(raw)
-        builder, builder_view, case = run(tmp_root, False, False)
+        builder, builder_view, case = run(tmp_root, False)
         builder.warm_view(builder_view)
+        built = _skeleton_digests(builder)
 
         baseline = BaselineEngine(generate_case(seed).database)
         bview = baseline.define_view("truth", case.view_text)
 
         outcomes = {}
         for mmap_mode in (False, True):
-            for dag in (False, True):
-                engine, view, _ = run(tmp_root, mmap_mode, dag)
-                keywords = case.keyword_sets[0]
-                context = (
-                    f"seed={seed} mmap={mmap_mode} dag={dag} kw={keywords}"
-                )
-                out = engine.search_detailed(view, keywords, TOP_K, True)
-                assert set(out.cache_hits.values()) == {"snapshot"}, (
-                    f"{context}: expected snapshot restores, got "
-                    f"{out.cache_hits}"
-                )
-                assert_outcomes_equivalent(
-                    out,
-                    baseline.search_detailed(bview, keywords, TOP_K, True),
-                    keywords,
-                    f"{context} [vs-baseline]",
-                )
-                outcomes[(mmap_mode, dag)] = out
-                digests = _skeleton_digests(engine)
-                if "reference" not in outcomes:
-                    outcomes["reference"] = digests
-                else:
-                    assert digests == outcomes["reference"], (
-                        f"{context}: restored skeleton state diverged"
-                    )
-        reference = outcomes[(False, False)]
-        for key, out in outcomes.items():
-            if key == "reference" or key == (False, False):
-                continue
-            _assert_bit_identical(
-                out, reference, f"seed={seed} restore={key}"
+            engine, view, _ = run(tmp_root, mmap_mode)
+            keywords = case.keyword_sets[0]
+            context = f"seed={seed} mmap={mmap_mode} kw={keywords}"
+            out = engine.search_detailed(view, keywords, TOP_K, True)
+            assert set(out.cache_hits.values()) == {"snapshot"}, (
+                f"{context}: expected snapshot restores, got "
+                f"{out.cache_hits}"
             )
+            assert_outcomes_equivalent(
+                out,
+                baseline.search_detailed(bview, keywords, TOP_K, True),
+                keywords,
+                f"{context} [vs-baseline]",
+            )
+            assert _skeleton_digests(engine) == built, (
+                f"{context}: restored skeleton state diverged"
+            )
+            outcomes[mmap_mode] = out
+        _assert_bit_identical(
+            outcomes[True], outcomes[False], f"seed={seed} mmap-vs-read"
+        )
 
 
 # -- sharded ---------------------------------------------------------------------
@@ -199,102 +207,101 @@ def test_restore_matrix_is_bit_identical(seed):
 
 @pytest.mark.parametrize("shard_count", (1, 2))
 @pytest.mark.parametrize("seed", _seed_matrix())
-def test_sharded_compressed_matches_uncompressed(seed, shard_count):
+def test_sharded_shared_shape_table_is_bit_identical(seed, shard_count):
     case = generate_case(seed)
     doc_names = sorted(case.database.document_names())
-    plan = ShardPlan.from_assignments(
-        {name: i % shard_count for i, name in enumerate(doc_names)},
+    # Documents a view fragment joins must share a shard.
+    fragments = view_fragments(inline_functions(parse_query(case.view_text)))
+    plan = ShardPlan.build(
+        doc_names,
         shard_count,
+        colocate=[f.documents for f in fragments if len(f.documents) > 1],
     )
-
-    def coordinator(dag: bool) -> CorpusCoordinator:
-        source = generate_case(seed).database
-        table = ShapeTable() if dag else None
-        executors = [
-            ShardExecutor(i, dag_compression=dag, shape_table=table)
-            for i in range(shard_count)
-        ]
-        for name in doc_names:
-            executors[plan.shard_of(name)].load_document(
-                name, source.get(name).document
-            )
-        coord = CorpusCoordinator(executors, plan, parallel=False)
-        coord.define_view("v", case.view_text)
-        return coord
+    source = generate_case(seed).database
+    table = ShapeTable()
+    executors = [
+        ShardExecutor(i, shape_table=table) for i in range(shard_count)
+    ]
+    for name in doc_names:
+        executors[plan.shard_of(name)].load_document(
+            name, source.get(name).document
+        )
+    free_case = generate_case(seed)
+    free = KeywordSearchEngine(free_case.database, enable_cache=False)
+    free_view = free.define_view("v", free_case.view_text)
 
     baseline = BaselineEngine(case.database)
     bview = baseline.define_view("truth", case.view_text)
 
-    with coordinator(True) as compressed, coordinator(False) as eager:
+    with CorpusCoordinator(executors, plan, parallel=False) as sharded:
+        sharded.define_view("v", case.view_text)
         for keywords in case.keyword_sets:
             for conjunctive in (True, False):
                 context = (
                     f"seed={seed} shards={shard_count} kw={keywords} "
                     f"conj={conjunctive}"
                 )
-                cout = compressed.search_detailed(
+                sout = sharded.search_detailed(
                     "v", keywords, TOP_K, conjunctive
                 )
-                eout = eager.search_detailed(
-                    "v", keywords, TOP_K, conjunctive
+                fout = free.search_detailed(
+                    free_view, keywords, TOP_K, conjunctive
                 )
                 _assert_bit_identical(
-                    cout, eout, f"{context} [compressed-vs-eager]"
+                    sout, fout, f"{context} [sharded-vs-cache-free]"
                 )
                 assert_outcomes_equivalent(
-                    cout,
+                    sout,
                     baseline.search_detailed(
                         bview, keywords, TOP_K, conjunctive
                     ),
                     keywords,
                     f"{context} [vs-baseline]",
                 )
+    assert table.stats()["shapes"] > 0
 
 
 # -- mutation streams ------------------------------------------------------------
 
 
 @pytest.mark.parametrize("seed", _seed_matrix())
-def test_mutations_preserve_bit_identity_under_compression(seed):
-    cases = {dag: generate_case(seed) for dag in (False, True)}
-    engines = {
-        dag: KeywordSearchEngine(case.database, dag_compression=dag)
-        for dag, case in cases.items()
-    }
-    views = {
-        dag: engines[dag].define_view("v", cases[dag].view_text)
-        for dag in engines
-    }
+def test_mutations_preserve_bit_identity_under_compression(seed, tmp_path):
+    case = generate_case(seed)
+    store_root = tmp_path / "snapshots"
+    engine = KeywordSearchEngine(
+        case.database, snapshot_store=SkeletonStore(store_root)
+    )
+    view = engine.define_view("v", case.view_text)
+    free_case = generate_case(seed)
+    free = KeywordSearchEngine(free_case.database, enable_cache=False)
+    free_view = free.define_view("v", free_case.view_text)
     baseline_db = generate_case(seed).database
     baseline = BaselineEngine(baseline_db)
-    bview = baseline.define_view("truth", cases[True].view_text)
+    bview = baseline.define_view("truth", case.view_text)
+    loaders = {
+        mode: SkeletonStore(store_root, mmap_mode=mode)
+        for mode in (False, True)
+    }
 
     ops = generate_mutation_stream(
         seed, generate_case(seed).database, count=STREAM_LENGTH
     )
-    priming = cases[True].priming_keywords
-    for dag in engines:
-        engines[dag].search(views[dag], priming, top_k=TOP_K)
+    engine.search(view, case.priming_keywords, top_k=TOP_K)
 
     for step, op in enumerate(ops):
-        for dag in engines:
-            apply_mutation(engines[dag].database, op)
-        apply_mutation(baseline_db, op)
-        keywords = cases[True].keyword_sets[
-            step % len(cases[True].keyword_sets)
-        ]
+        for database in (engine.database, free.database, baseline_db):
+            apply_mutation(database, op)
+        keywords = case.keyword_sets[step % len(case.keyword_sets)]
         context = f"seed={seed} step={step} op={op.describe()}"
         for conjunctive in (True, False):
-            cout = engines[True].search_detailed(
-                views[True], keywords, TOP_K, conjunctive
-            )
-            eout = engines[False].search_detailed(
-                views[False], keywords, TOP_K, conjunctive
+            cout = engine.search_detailed(view, keywords, TOP_K, conjunctive)
+            fout = free.search_detailed(
+                free_view, keywords, TOP_K, conjunctive
             )
             _assert_bit_identical(
                 cout,
-                eout,
-                f"{context} conj={conjunctive} [compressed-vs-eager]",
+                fout,
+                f"{context} conj={conjunctive} [cached-vs-cache-free]",
             )
             assert_outcomes_equivalent(
                 cout,
@@ -302,6 +309,22 @@ def test_mutations_preserve_bit_identity_under_compression(seed):
                 keywords,
                 f"{context} conj={conjunctive} [vs-baseline]",
             )
-        assert _skeleton_digests(engines[True]) == _skeleton_digests(
-            engines[False]
-        ), f"{context}: skeleton tiers diverged after edit"
+        # The wire digest: the live (patched or rebuilt) skeleton tier
+        # equals the snapshot the edit forwarded to the document's new
+        # fingerprint, restored through either load mode.
+        live = _skeleton_digests(engine)
+        assert set(live) == set(view.qpts), context
+        for mmap_mode, loader in loaders.items():
+            restored = {
+                doc_name: _digest(
+                    loader.load(
+                        engine.database.get(doc_name).fingerprint,
+                        qpt.content_hash,
+                    ).to_bytes()
+                )
+                for doc_name, qpt in view.qpts.items()
+            }
+            assert restored == live, (
+                f"{context} mmap={mmap_mode}: persisted skeleton state "
+                "diverged from the live tier after the edit"
+            )

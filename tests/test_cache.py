@@ -655,119 +655,25 @@ class TestEvaluatedTier:
         assert len(engine.cache.evaluated) == 0
 
 
-class _Closable:
-    """A value owning a releasable resource (stand-in for MappedSkeleton)."""
+def test_mmap_mode_load_holds_no_mapping(
+    tmp_path, bookrev_db, bookrev_view_text
+):
+    """No cache tier needs an eviction hook: what an mmap-mode snapshot
+    load returns (and the engine compresses into its skeleton tier) is
+    plain heap data — every column decoded, the mapping closed."""
+    from repro.core.snapshot import SkeletonStore
 
-    def __init__(self):
-        self.closed = False
-
-    def close(self):
-        self.closed = True
-
-
-class TestEvictionRelease:
-    """Values dropped by the cache release their resources (the mmap
-    leak: eviction/replacement used to drop ``MappedSkeleton``s without
-    ``close()``, holding pages + file handles until GC)."""
-
-    def test_evicted_value_is_closed(self):
-        cache = LRUCache(1)
-        old, new = _Closable(), _Closable()
-        cache.put("a", old)
-        cache.put("b", new)
-        assert old.closed and not new.closed
-        assert cache.stats.evictions == 1
-
-    def test_replacement_closes_the_old_value(self):
-        cache = LRUCache(4)
-        old, new = _Closable(), _Closable()
-        cache.put("a", old)
-        cache.put("a", new)
-        assert old.closed and not new.closed
-
-    def test_reinserting_the_same_object_does_not_close_it(self):
-        cache = LRUCache(4)
-        value = _Closable()
-        cache.put("a", value)
-        cache.put("a", value)
-        assert not value.closed
-        assert cache.get("a") is value
-
-    def test_byte_budget_self_eviction_leaves_callers_value_open(self):
-        # An over-budget value evicts itself at insertion, but the
-        # caller still holds (and will use) it: dropped, never closed.
-        class _SizedClosable(_Closable):
-            memory_bytes = 1000
-
-        value = _SizedClosable()
-        cache = LRUCache(4, byte_budget=10)
-        cache.put("a", value)
-        assert "a" not in cache
-        assert not value.closed
-
-    def test_invalidation_and_clear_do_not_close(self):
-        # Invalidation drops dead-keyed entries an in-flight query may
-        # still be reading — releasing is reserved for cache-owned drops.
-        cache = LRUCache(4)
-        kept_alive = _Closable()
-        cache.put(("d", 1), kept_alive)
-        cache.invalidate_where(lambda key: key[0] == "d")
-        assert not kept_alive.closed
-        survivor = _Closable()
-        cache.put(("d", 2), survivor)
-        cache.clear()
-        assert not survivor.closed
-
-    def test_rekey_overwrite_closes_the_displaced_value(self):
-        cache = LRUCache(8)
-        displaced, migrating = _Closable(), _Closable()
-        cache.put(("d", 2), displaced)
-        cache.put(("d", 1), migrating)
-        moved = cache.rekey_where(
-            lambda key: key == ("d", 1), lambda key: ("d", 2)
-        )
-        assert moved == [(("d", 2), migrating)]
-        assert displaced.closed and not migrating.closed
-        assert cache.get(("d", 2)) is migrating
-
-    def test_on_evict_none_disables_the_hook(self):
-        cache = LRUCache(1, on_evict=None)
-        old = _Closable()
-        cache.put("a", old)
-        cache.put("b", _Closable())
-        assert not old.closed
-
-    def test_sharded_cache_threads_the_hook_through_shards(self):
-        released = []
-        cache = ShardedLRUCache(2, shards=2, on_evict=released.append)
-        values = [_Closable() for _ in range(6)]
-        for index, value in enumerate(values):
-            cache.put(("k", index), value)
-        assert len(released) == len(values) - len(cache)
-        assert all(isinstance(value, _Closable) for value in released)
-
-    def test_evicted_mapped_skeleton_buffer_is_closed(
-        self, tmp_path, bookrev_db, bookrev_view_text
-    ):
-        # The regression scenario itself: a real MappedSkeleton cycled
-        # out of a byte-budgeted tier must release its mmap buffer.
-        from repro.core.snapshot import MappedSkeleton, SkeletonStore
-
-        store = SkeletonStore(tmp_path / "snap")
-        engine = KeywordSearchEngine(bookrev_db, snapshot_store=store)
-        view = engine.define_view("v", bookrev_view_text)
-        engine.warm_view("v")
-        mapped_store = SkeletonStore(tmp_path / "snap", mmap_mode=True)
-        fingerprint = bookrev_db.get("books.xml").fingerprint
-        qpt_hash = view.qpts["books.xml"].content_hash
-        mapped = mapped_store.load(fingerprint, qpt_hash)
-        assert isinstance(mapped, MappedSkeleton)
-        cache = LRUCache(8, byte_budget=mapped.memory_bytes)
-        cache.put("snap", mapped)
-        cache.put("other", object())  # no memory_bytes: sized as free
-        displacing = mapped_store.load(fingerprint, qpt_hash)
-        cache.put("snap2", displacing)  # budget exceeded: evicts "snap"
-        assert "snap" not in cache
-        assert mapped._buffer.closed
-        assert not displacing._buffer.closed
-        displacing.close()
+    store = SkeletonStore(tmp_path / "snap")
+    engine = KeywordSearchEngine(bookrev_db, snapshot_store=store)
+    view = engine.define_view("v", bookrev_view_text)
+    engine.warm_view("v")
+    loaded = SkeletonStore(tmp_path / "snap", mmap_mode=True).load(
+        bookrev_db.get("books.xml").fingerprint,
+        view.qpts["books.xml"].content_hash,
+    )
+    assert loaded is not None
+    held = [loaded.doc_name, loaded.entry_count, loaded.flags]
+    for column in (loaded.keys, loaded.tags, loaded.values, loaded.byte_lengths):
+        assert type(column) is tuple
+        held.extend(column)
+    assert all(type(value) in (str, int, bytes, type(None)) for value in held)

@@ -1,20 +1,20 @@
 """DAG-compressed skeleton tests.
 
-Three property families lock down the compressed representation:
+Three property families lock down the one skeleton representation:
 
 * **equivalence** — for random record sets, ``compress_skeleton``
-  preserves every derived structure the annotation sweep consumes
-  (bounds, slot bounds, counts), serializes byte-identically to the
-  eager skeleton, annotates to identical tf arrays, and patches
-  byte lengths identically to the eager patch path;
+  preserves every record (its columns round-trip, and it serializes
+  byte-identically to them), derives the bounds the annotation sweep
+  consumes, and its shared tree plus tf arrays match the eager
+  per-query assembly (:func:`~repro.core.pdt.assemble_pdt`) with
+  brute-force subtree tfs; byte-length patches match re-compressing
+  the patched records;
 * **sharing** — isomorphic structures are interned once per shape
   table, within and across skeletons (and across engines handed the
-  same table), and the compressed footprint of a repetitive corpus is
-  a fraction of the eager one;
-* **wiring** — the engine's skeleton tier holds compressed entries
-  when ``dag_compression`` is on, search results are identical either
-  way, and ``close``/``prune_snapshots`` reclaim hooks and stale
-  snapshot files.
+  same table), so a repetitive corpus adds no structure per copy;
+* **wiring** — the engine's skeleton tier holds compressed entries,
+  search results equal a cache-free engine's, and
+  ``close``/``prune_snapshots`` reclaim hooks and stale snapshot files.
 """
 
 from __future__ import annotations
@@ -29,18 +29,20 @@ import pytest
 
 from repro.core.engine import KeywordSearchEngine
 from repro.core.pdt import (
-    CompressedSkeleton,
     PDTRecord,
     PDTSkeleton,
+    SkeletonColumns,
     annotate_skeleton,
+    assemble_pdt,
     compress_skeleton,
     patch_skeleton_byte_lengths,
 )
 from repro.core.shapes import ShapeTable, forest_columns
 from repro.core.snapshot import SkeletonStore
-from repro.dewey import pack
+from repro.dewey import pack, packed_child_bound
 from repro.storage.database import XMLDatabase
 from repro.storage.inverted_index import Posting, PostingList
+from repro.xmlmodel.serializer import serialize
 from tests.conftest import BOOKS_XML, BOOKREV_VIEW, REVIEWS_XML
 
 _TAGS = ["a", "b", "item", "Ünïcode-tag"]
@@ -72,6 +74,13 @@ def _random_records(
     return records
 
 
+def _compress(doc_name, records, entry_count, table=None) -> PDTSkeleton:
+    return compress_skeleton(
+        SkeletonColumns.from_records(doc_name, records, entry_count),
+        table if table is not None else ShapeTable(),
+    )
+
+
 def _posting_list(rng: random.Random, keyword: str) -> PostingList:
     deweys = sorted(
         {
@@ -86,38 +95,65 @@ def _posting_list(rng: random.Random, keyword: str) -> PostingList:
 
 
 # ---------------------------------------------------------------------------
-# Equivalence with the eager representation
+# Equivalence with the eager assembly
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("seed", range(25))
 def test_compressed_matches_eager(seed):
     rng = random.Random(seed)
-    eager = PDTSkeleton.from_records(
-        "doc-ü.xml", _random_records(rng), 37
+    records = _random_records(rng)
+    columns = SkeletonColumns.from_records("doc-ü.xml", records, 37)
+    comp = compress_skeleton(columns, ShapeTable())
+
+    assert comp.doc_name == "doc-ü.xml"
+    assert comp.entry_count == 37
+    assert comp.node_count == len(records)
+    assert comp.content_count == sum(
+        1 for record in records.values() if record.wants_content
     )
-    comp = compress_skeleton(eager, ShapeTable())
+    assert comp.keys == tuple(sorted(records))
+    assert comp.columns() == columns
+    assert comp.to_bytes() == columns.to_bytes()
 
-    assert isinstance(comp, CompressedSkeleton)
-    assert comp.doc_name == eager.doc_name
-    assert comp.entry_count == eager.entry_count
-    assert comp.node_count == eager.node_count
-    assert comp.content_count == eager.content_count
-    assert comp.keys == tuple(eager.ordered)
-    assert comp.bounds == eager.bounds
-    assert comp.slot_bounds == eager.slot_bounds
-    assert comp.to_bytes() == eager.to_bytes()
+    # Bounds, straight from Definition 3's subtree ranges.
+    content = [key for key in comp.keys if records[key].wants_content]
+    ranges = [(key, packed_child_bound(key)) for key in content]
+    assert comp.bounds == tuple(sorted({b for pair in ranges for b in pair}))
+    assert [
+        (comp.bounds[low], comp.bounds[high]) for low, high in comp.slot_bounds
+    ] == ranges
 
+    # The shared tree + tf arrays vs the eager per-query assembly with
+    # brute-force subtree tfs.
     keywords = ("alpha", "beta", "nowhere")
     inv_lists = {
         "alpha": _posting_list(rng, "alpha"),
         "beta": _posting_list(rng, "beta"),
         "nowhere": PostingList("nowhere", []),
     }
-    first = annotate_skeleton(eager, inv_lists, keywords)
-    second = annotate_skeleton(comp, inv_lists, keywords)
-    assert first.tf_arrays == second.tf_arrays
-    assert first.node_count == second.node_count
+
+    def subtree_tfs(dewey) -> dict[str, int]:
+        return {
+            keyword: inv_lists[keyword].subtree_tf(dewey)
+            for keyword in keywords
+        }
+
+    eager = assemble_pdt("doc-ü.xml", records, keywords, subtree_tfs, 37)
+    result = annotate_skeleton(comp, inv_lists, keywords)
+    assert result.node_count == eager.node_count
+    assert serialize(result.root) == serialize(eager.root)
+    served = list(result.root.iter())
+    expected = list(eager.root.iter())
+    assert len(served) == len(expected)
+    for node, other in zip(served, expected):
+        if node.anno is None:
+            assert other.anno is None
+            continue
+        assert node.anno.dewey == other.anno.dewey
+        assert node.anno.byte_length == other.anno.byte_length
+        assert node.anno.pruned == other.anno.pruned
+        assert result.tf_map(node) == eager.tf_map(other)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -126,39 +162,38 @@ def test_compressed_patch_matches_eager(seed):
     records = _random_records(rng, count_hint=20)
     if not records:
         pytest.skip("empty record set has nothing to patch")
-    eager = PDTSkeleton.from_records("d.xml", records, 5)
-    comp = compress_skeleton(eager, ShapeTable())
+    comp = _compress("d.xml", records, 5)
+    tree = comp.tree  # held: the live shared tree is patched too
 
     # Patch along the ancestor chain of a random present key.
     target = rng.choice(sorted(records))
-    chain = [
-        key for key in sorted(records) if target.startswith(key)
-    ]
+    chain = [key for key in sorted(records) if target.startswith(key)]
     delta = rng.randint(-100, 100)
-    patch_skeleton_byte_lengths(eager, chain, delta)
-    patch_skeleton_byte_lengths(comp, chain, delta)
-    for index, key in enumerate(comp.keys):
-        assert comp.byte_lengths[index] == eager.records[key].byte_length
-    assert comp.to_bytes() == eager.to_bytes()
+    assert patch_skeleton_byte_lengths(comp, chain, delta) == len(chain)
+    for key in chain:
+        records[key].byte_length += delta
+    assert comp.to_bytes() == _compress("d.xml", records, 5).to_bytes()
+    assert {
+        node.anno.dewey.packed: node.anno.byte_length
+        for node in tree.iter()
+        if node.anno is not None
+    } == {key: record.byte_length for key, record in records.items()}
 
 
 def test_compressed_tree_is_weakly_memoized():
     rng = random.Random(3)
     records = _random_records(rng, count_hint=20)
-    eager = PDTSkeleton.from_records("d.xml", records, 5)
-    comp = compress_skeleton(eager, ShapeTable())
-    # Seeded from the source skeleton's tree: same object, no rebuild.
-    assert comp.tree is eager.tree
-    del eager
+    comp = _compress("d.xml", records, 5)
+    first = comp.tree
+    assert comp.tree is first  # memoized while referenced
+    tags = [n.tag for n in first.iter()]
+    del first
     gc.collect()
-    # The weak reference died with the eager skeleton; a fresh access
-    # re-materializes an equivalent tree.
+    # The weak reference died with the last holder; a fresh access
+    # rebuilds an equivalent tree.
     rebuilt = comp.tree
     assert rebuilt is comp.tree  # memoized again while referenced
-    assert [n.tag for n in rebuilt.iter()] == [
-        n.tag
-        for n in PDTSkeleton.from_records("d.xml", records, 5).tree.iter()
-    ]
+    assert [n.tag for n in rebuilt.iter()] == tags
 
 
 # ---------------------------------------------------------------------------
@@ -187,23 +222,16 @@ def test_isomorphic_skeletons_share_shapes():
     rng = random.Random(11)
     records = _random_records(rng, count_hint=25)
     table = ShapeTable()
-    first = compress_skeleton(
-        PDTSkeleton.from_records("a.xml", records, 5), table
-    )
+    first = _compress("a.xml", records, 5, table)
     shapes_after_first = table.stats()["shapes"]
-    second = compress_skeleton(
-        PDTSkeleton.from_records("b.xml", _shifted(records, 1000), 5), table
-    )
+    second = _compress("b.xml", _shifted(records, 1000), 5, table)
     # The second skeleton introduced zero new shapes — every subtree
     # structure was already interned — yet keeps its own keys/values.
     assert table.stats()["shapes"] == shapes_after_first
-    assert [s.digest for s in second.roots] == [
-        s.digest for s in first.roots
-    ]
+    assert second.roots == first.roots
     assert second.keys != first.keys
-    tags, wants_value, wants_content = first.columns()
-    assert tags == second.columns()[0]
-    assert forest_columns(first.roots)[0] == tags
+    assert second.columns().tags == first.columns().tags
+    assert forest_columns(first.roots)[0] == first.columns().tags
 
 
 def test_repetitive_corpus_compresses():
@@ -212,16 +240,15 @@ def test_repetitive_corpus_compresses():
     if len(base) < 10:  # pragma: no cover - seed guard
         pytest.skip("degenerate base structure")
     table = ShapeTable()
-    eager_total = 0
-    compressed_total = 0
-    for i in range(12):
-        eager = PDTSkeleton.from_records(
-            f"doc-{i}.xml", _shifted(base, i * 1000), 5
-        )
-        eager_total += eager.memory_bytes
-        compressed_total += compress_skeleton(eager, table).memory_bytes
-    compressed_total += table.memory_bytes()
-    assert compressed_total * 2 < eager_total
+    first = _compress("doc-0.xml", base, 5, table)
+    structure_bytes = table.memory_bytes()
+    shapes = table.stats()["shapes"]
+    for i in range(1, 12):
+        copy = _compress(f"doc-{i}.xml", _shifted(base, i * 1000), 5, table)
+        assert copy.roots == first.roots
+    # Copies add instance columns only, never structure.
+    assert table.stats()["shapes"] == shapes
+    assert table.memory_bytes() == structure_bytes
 
 
 def test_shape_digests_stable_across_hash_seeds():
@@ -229,8 +256,7 @@ def test_shape_digests_stable_across_hash_seeds():
         "from repro.core.shapes import ShapeTable\n"
         "table = ShapeTable()\n"
         "roots = table.intern_forest(\n"
-        "    ['r', 'a', 'b', 'a'], [False, True, False, True],\n"
-        "    [True, False, True, False], [-1, 0, 0, 2])\n"
+        "    ['r', 'a', 'b', 'a'], [2, 1, 2, 1], [-1, 0, 0, 2])\n"
         "print(' '.join(s.digest.hex() for s in roots))\n"
     )
     outputs = set()
@@ -266,17 +292,16 @@ def _ranked(results):
     return [(r.rank, round(r.score, 12), r.to_xml()) for r in results]
 
 
-def test_engine_results_identical_with_and_without_compression():
+def test_engine_results_identical_to_cache_free_engine():
     keywords = ["xml", "search"]
-    outcomes = []
-    for dag in (False, True):
-        engine = KeywordSearchEngine(_bookrev_db(), dag_compression=dag)
-        view = engine.define_view("bookrevs", BOOKREV_VIEW)
-        first = _ranked(engine.search(view, keywords, top_k=10))
-        warm = _ranked(engine.search(view, keywords, top_k=10))
-        assert first == warm
-        outcomes.append(first)
-    assert outcomes[0] == outcomes[1]
+    engine = KeywordSearchEngine(_bookrev_db())
+    view = engine.define_view("bookrevs", BOOKREV_VIEW)
+    first = _ranked(engine.search(view, keywords, top_k=10))
+    warm = _ranked(engine.search(view, keywords, top_k=10))
+    assert first == warm
+    free = KeywordSearchEngine(_bookrev_db(), enable_cache=False)
+    free_view = free.define_view("bookrevs", BOOKREV_VIEW)
+    assert _ranked(free.search(free_view, keywords, top_k=10)) == first
 
 
 def _skeleton_tier_entries(engine):
@@ -294,18 +319,8 @@ def test_engine_skeleton_tier_holds_compressed_entries():
     engine.warm_view(view)
     entries = _skeleton_tier_entries(engine)
     assert entries
-    assert all(isinstance(s, CompressedSkeleton) for s in entries)
-    assert engine.shape_table.stats()["shapes"] > 0
-
-
-def test_engine_dag_off_keeps_eager_entries():
-    engine = KeywordSearchEngine(_bookrev_db(), dag_compression=False)
-    view = engine.define_view("bookrevs", BOOKREV_VIEW)
-    engine.warm_view(view)
-    entries = _skeleton_tier_entries(engine)
-    assert entries
     assert all(isinstance(s, PDTSkeleton) for s in entries)
-    assert engine.shape_table is None
+    assert engine.shape_table.stats()["shapes"] > 0
 
 
 def test_engines_can_share_a_shape_table():
@@ -319,7 +334,7 @@ def test_engines_can_share_a_shape_table():
 
 def test_updates_preserve_results_under_compression():
     db = _bookrev_db()
-    engine = KeywordSearchEngine(db, dag_compression=True)
+    engine = KeywordSearchEngine(db)
     view = engine.define_view("bookrevs", BOOKREV_VIEW)
     engine.warm_view(view)
     db.insert_subtree(
@@ -328,7 +343,7 @@ def test_updates_preserve_results_under_compression():
         "<review><isbn>222-22-2222</isbn><content>new xml search "
         "notes</content></review>",
     )
-    fresh = KeywordSearchEngine(_bookrev_db(), dag_compression=False)
+    fresh = KeywordSearchEngine(_bookrev_db(), enable_cache=False)
     fresh.database.insert_subtree(
         "reviews.xml",
         "1",
@@ -355,7 +370,7 @@ def test_engine_prunes_stale_snapshots(tmp_path):
     assert live > 0
     # A snapshot under a fingerprint no live document carries is
     # unaddressable — prune reclaims exactly it.
-    stale = PDTSkeleton.from_records("books.xml", {}, 0)
+    stale = SkeletonColumns.from_records("books.xml", {}, 0)
     store.save("0" * 64, "1" * 64, stale)
     assert engine.prune_snapshots() == 1
     assert len(store) == live
@@ -374,7 +389,7 @@ def test_engine_close_is_idempotent_and_prunes(tmp_path):
     db = _bookrev_db()
     engine = KeywordSearchEngine(db, snapshot_store=store)
     engine.warm_view(engine.define_view("bookrevs", BOOKREV_VIEW))
-    store.save("0" * 64, "1" * 64, PDTSkeleton.from_records("x", {}, 0))
+    store.save("0" * 64, "1" * 64, SkeletonColumns.from_records("x", {}, 0))
     before = len(store)
     engine.close()
     assert len(store) == before - 1

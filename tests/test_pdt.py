@@ -243,6 +243,21 @@ class TestConstraints:
         assert "<title/>" in text  # pruned content
 
 
+def _skeleton(qpt, path_index):
+    from repro.core.pdt import build_skeleton, compress_skeleton
+    from repro.core.shapes import ShapeTable
+
+    return compress_skeleton(build_skeleton(qpt, path_index), ShapeTable())
+
+
+def _content_keys(skeleton):
+    """Keys of the content ('c') records, in slot order."""
+    columns = skeleton.columns()
+    return [
+        key for key, flag in zip(columns.keys, columns.flags) if flag & 2
+    ]
+
+
 class TestAnnotationShapeStability:
     """Satellite regression: tf annotations are keyed by the *queried*
     keywords, never by which inverted lists happen to be non-empty."""
@@ -250,9 +265,7 @@ class TestAnnotationShapeStability:
     def _skeleton_and_index(self, bookrev_db, bookrev_view_text, doc):
         qpt = qpts_for(bookrev_view_text)[doc]
         indexed = bookrev_db.get(doc)
-        from repro.core.pdt import build_skeleton
-
-        return build_skeleton(qpt, indexed.path_index), indexed.inverted_index
+        return _skeleton(qpt, indexed.path_index), indexed.inverted_index
 
     def test_zero_posting_keyword_gets_explicit_zero(
         self, bookrev_db, bookrev_view_text
@@ -318,21 +331,19 @@ class TestMergeJoinAnnotation:
     def test_sweep_matches_per_node_subtree_tf(
         self, bookrev_db, bookrev_view_text
     ):
-        from repro.core.pdt import annotate_skeleton, build_skeleton
+        from repro.core.pdt import annotate_skeleton
         from repro.core.prepare import prepare_inv_lists
+        from repro.dewey import DeweyID
 
         keywords = ("xml", "search", "structure")
         for doc in ("books.xml", "reviews.xml"):
             qpt = qpts_for(bookrev_view_text)[doc]
             indexed = bookrev_db.get(doc)
-            skeleton = build_skeleton(qpt, indexed.path_index)
+            skeleton = _skeleton(qpt, indexed.path_index)
             inv_lists = prepare_inv_lists(indexed.inverted_index, keywords)
             result = annotate_skeleton(skeleton, inv_lists, keywords)
-            for position, key in enumerate(skeleton.ordered):
-                slot = skeleton.slots[position]
-                if slot is None:
-                    continue
-                dewey_id = skeleton.dewey_ids[position]
+            for slot, key in enumerate(_content_keys(skeleton)):
+                dewey_id = DeweyID.from_packed(key)
                 for keyword in keywords:
                     assert result.tf_at(slot, keyword) == inv_lists[
                         keyword
@@ -345,12 +356,12 @@ class TestSkeletonPrecompute:
     def test_tree_is_shared_across_annotations(
         self, bookrev_db, bookrev_view_text
     ):
-        from repro.core.pdt import annotate_skeleton, build_skeleton
+        from repro.core.pdt import annotate_skeleton
         from repro.core.prepare import prepare_inv_lists
 
         qpt = qpts_for(bookrev_view_text)["books.xml"]
         indexed = bookrev_db.get("books.xml")
-        skeleton = build_skeleton(qpt, indexed.path_index)
+        skeleton = _skeleton(qpt, indexed.path_index)
         first = annotate_skeleton(
             skeleton, prepare_inv_lists(indexed.inverted_index, ("xml",)), ("xml",)
         )
@@ -363,17 +374,13 @@ class TestSkeletonPrecompute:
         assert second.root is skeleton.tree  # zero tree construction per query
 
     def test_bounds_are_sorted_and_slots_resolve(self, bookrev_db, bookrev_view_text):
-        from repro.core.pdt import build_skeleton
         from repro.dewey import packed_child_bound
 
         qpt = qpts_for(bookrev_view_text)["reviews.xml"]
-        skeleton = build_skeleton(qpt, bookrev_db.get("reviews.xml").path_index)
+        skeleton = _skeleton(qpt, bookrev_db.get("reviews.xml").path_index)
         assert list(skeleton.bounds) == sorted(set(skeleton.bounds))
         assert len(skeleton.slot_bounds) == skeleton.content_count
-        for position, key in enumerate(skeleton.ordered):
-            slot = skeleton.slots[position]
-            if slot is None:
-                continue
+        for slot, key in enumerate(_content_keys(skeleton)):
             low, high = skeleton.slot_bounds[slot]
             assert skeleton.bounds[low] == key
             assert skeleton.bounds[high] == packed_child_bound(key)
@@ -381,13 +388,18 @@ class TestSkeletonPrecompute:
     def test_parent_positions_match_byte_prefixes(
         self, bookrev_db, bookrev_view_text
     ):
-        from repro.core.pdt import build_skeleton
-
+        # Every tree edge joins a record to its nearest ancestor among
+        # the records: the longest proper key prefix present.
         qpt = qpts_for(bookrev_view_text)["books.xml"]
-        skeleton = build_skeleton(qpt, bookrev_db.get("books.xml").path_index)
-        for position, key in enumerate(skeleton.ordered):
-            parent = skeleton.parents[position]
-            if parent < 0:
+        skeleton = _skeleton(qpt, bookrev_db.get("books.xml").path_index)
+        keys = set(skeleton.keys)
+        nodes = [n for n in skeleton.tree.iter() if n.anno is not None]
+        assert [n.anno.dewey.packed for n in nodes] == list(skeleton.keys)
+        for node in nodes:
+            key = node.anno.dewey.packed
+            ancestors = [k for k in keys if key.startswith(k) and k != key]
+            parent = node.parent
+            if parent is None or parent.anno is None:
+                assert not ancestors
                 continue
-            assert key.startswith(skeleton.ordered[parent])
-            assert key != skeleton.ordered[parent]
+            assert parent.anno.dewey.packed == max(ancestors, key=len)

@@ -2,10 +2,10 @@
 
 Three property families lock down the cross-process tier:
 
-* **round trip** — for random record sets, ``PDTSkeleton.to_bytes`` →
-  ``from_bytes`` reproduces every derived structure (ids, parents,
-  slots, tf bounds) and yields identical annotation results for random
-  posting lists;
+* **round trip** — for random record sets, ``SkeletonColumns.to_bytes``
+  → ``deserialize_skeleton`` reproduces the columns, and the skeletons
+  compressed from both sides derive identical structures (ids, nesting,
+  tf bounds) and annotation results for random posting lists;
 * **hash stability** — structurally equal QPTs hash equal (including in
   a subprocess with a different ``PYTHONHASHSEED``, the cross-process
   case object identity can never survive); any single axis, flag,
@@ -28,12 +28,14 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.pdt import (
     PDTRecord,
-    PDTSkeleton,
+    SkeletonColumns,
     annotate_skeleton,
+    compress_skeleton,
     deserialize_skeleton,
     serialize_skeleton,
 )
 from repro.core.qpt import QPT, QPTNode, generate_qpts
+from repro.core.shapes import ShapeTable
 from repro.core.snapshot import SkeletonStore
 from repro.dewey import pack
 from repro.storage.database import XMLDatabase
@@ -98,36 +100,33 @@ def _random_posting_list(rng: random.Random, keyword: str) -> PostingList:
 def test_skeleton_serialization_round_trip(seed):
     rng = random.Random(seed)
     records = _random_records(rng)
-    original = PDTSkeleton.from_records("doc-ü.xml", records, len(records) * 3)
-    restored = PDTSkeleton.from_bytes(original.to_bytes())
+    columns = SkeletonColumns.from_records(
+        "doc-ü.xml", records, len(records) * 3
+    )
+    restored_columns = deserialize_skeleton(columns.to_bytes())
+    assert restored_columns == columns
 
+    table = ShapeTable()
+    original = compress_skeleton(columns, table)
+    restored = compress_skeleton(restored_columns, table)
     assert restored.doc_name == original.doc_name
     assert restored.entry_count == original.entry_count
-    assert restored.ordered == original.ordered
-    assert restored.parents == original.parents
-    assert restored.slots == original.slots
+    assert restored.keys == original.keys == tuple(sorted(records))
+    assert restored.roots == original.roots  # interned: same shapes
     assert restored.content_count == original.content_count
     # tf bounds: identical subtree ranges and slot mappings.
     assert restored.bounds == original.bounds
     assert restored.slot_bounds == original.slot_bounds
-    assert [d.components for d in restored.dewey_ids] == [
-        d.components for d in original.dewey_ids
-    ]
-    for key, record in original.records.items():
-        other = restored.records[key]
-        assert (
-            record.tag,
-            record.value,
-            record.byte_length,
-            record.wants_value,
-            record.wants_content,
-        ) == (
-            other.tag,
-            other.value,
-            other.byte_length,
-            other.wants_value,
-            other.wants_content,
-        )
+    # The trees carry every record, in key order, with its record state.
+    nodes = [n for n in restored.tree.iter() if n.anno is not None]
+    assert [n.anno.dewey.packed for n in nodes] == sorted(records)
+    for node in nodes:
+        record = records[node.anno.dewey.packed]
+        assert node.anno.dewey.components == record.dewey
+        assert node.tag == record.tag
+        assert node.text == (record.value if record.wants_value else None)
+        assert node.anno.byte_length == record.byte_length
+        assert node.anno.pruned == record.wants_content
 
     # Identical annotation results for random keyword posting lists —
     # including a keyword with zero postings.
@@ -145,8 +144,8 @@ def test_skeleton_serialization_round_trip(seed):
 
 def test_serialization_rejects_corruption():
     rng = random.Random(7)
-    skeleton = PDTSkeleton.from_records("d.xml", _random_records(rng), 5)
-    payload = skeleton.to_bytes()
+    columns = SkeletonColumns.from_records("d.xml", _random_records(rng), 5)
+    payload = columns.to_bytes()
     with pytest.raises(ValueError):
         deserialize_skeleton(payload[:-1])  # truncated
     with pytest.raises(ValueError):
@@ -160,9 +159,11 @@ def test_serialization_rejects_corruption():
 
 
 def test_serialize_function_matches_method():
-    skeleton = PDTSkeleton.from_records("d.xml", {}, 0)
-    assert serialize_skeleton(skeleton) == skeleton.to_bytes()
-    assert PDTSkeleton.from_bytes(skeleton.to_bytes()).node_count == 0
+    columns = SkeletonColumns.from_records("d.xml", {}, 0)
+    skeleton = compress_skeleton(columns, ShapeTable())
+    assert serialize_skeleton(columns) == skeleton.to_bytes()
+    assert deserialize_skeleton(skeleton.to_bytes()) == columns
+    assert skeleton.node_count == 0
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +302,8 @@ def test_content_hash_stable_across_processes():
 # ---------------------------------------------------------------------------
 
 
-def _store_skeleton(seed: int = 11) -> PDTSkeleton:
-    return PDTSkeleton.from_records(
+def _store_skeleton(seed: int = 11) -> SkeletonColumns:
+    return SkeletonColumns.from_records(
         "d.xml", _random_records(random.Random(seed)), 9
     )
 
@@ -314,8 +315,7 @@ def test_store_save_load_round_trip(tmp_path):
     assert path.exists()
     assert ("f" * 64, "a" * 64) in store
     restored = store.load("f" * 64, "a" * 64)
-    assert restored is not None
-    assert restored.ordered == skeleton.ordered
+    assert restored == skeleton
     assert len(store) == 1
     assert store.stats()["saves"] == 1
     assert store.stats()["hits"] == 1
@@ -347,19 +347,19 @@ def test_store_corrupt_reader_spares_a_concurrent_rewrite(tmp_path, monkeypatch)
     target = store.path_for(fingerprint, qpt_hash)
     target.write_bytes(b"garbage that is not a skeleton")
     fresh = _store_skeleton()
-    real = snapshot_module.PDTSkeleton
+    real = snapshot_module.deserialize_skeleton
 
-    class RacingSkeleton:
-        @staticmethod
-        def from_bytes(payload):
-            # Simulate a writer winning the race between our read and
-            # the failed parse's cleanup.
-            store.save(fingerprint, qpt_hash, fresh)
-            return real.from_bytes(payload)
+    def racing_deserialize(payload):
+        # Simulate a writer winning the race between our read and the
+        # failed decode's cleanup.
+        store.save(fingerprint, qpt_hash, fresh)
+        return real(payload)
 
-    monkeypatch.setattr(snapshot_module, "PDTSkeleton", RacingSkeleton)
+    monkeypatch.setattr(
+        snapshot_module, "deserialize_skeleton", racing_deserialize
+    )
     assert store.load(fingerprint, qpt_hash) is None  # garbage is a miss
-    monkeypatch.setattr(snapshot_module, "PDTSkeleton", real)
+    monkeypatch.setattr(snapshot_module, "deserialize_skeleton", real)
     # The racing writer's valid snapshot survived the reader's cleanup.
     assert target.exists()
     assert store.load(fingerprint, qpt_hash) is not None

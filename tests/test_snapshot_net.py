@@ -231,7 +231,7 @@ class TestNetworkedSkeletonStore:
     def test_fetched_payload_served_mmap_mode_like_a_local_save(
         self, tmp_path, snapshot_payload
     ):
-        from repro.core.snapshot import MappedSkeleton
+        from repro.core.pdt import deserialize_skeleton
 
         (fingerprint, qpt_hash), payload = snapshot_payload
         local = SkeletonStore(tmp_path / "s", mmap_mode=True)
@@ -239,8 +239,33 @@ class TestNetworkedSkeletonStore:
             local, StaticPeer({(fingerprint, qpt_hash): payload})
         )
         restored = net.load(fingerprint, qpt_hash)
-        assert isinstance(restored, MappedSkeleton)
-        restored.close()
+        assert restored == deserialize_skeleton(payload)
+        assert restored == SkeletonStore(tmp_path / "s").load(
+            fingerprint, qpt_hash
+        )
+        assert local.stats()["hits"] == 1
+
+    @pytest.mark.parametrize("mmap_mode", [False, True], ids=["read", "mmap"])
+    def test_column_corrupt_peer_payload_falls_back(
+        self, tmp_path, snapshot_payload, mmap_mode
+    ):
+        # A valid header over a corrupt column passes the O(1) admission
+        # check and is written through; the local load's column checks
+        # reject it in either mode, reclaim the file and fall back.
+        from repro.core.pdt import SkeletonLayout
+
+        (fingerprint, qpt_hash), payload = snapshot_payload
+        corrupt = bytearray(payload)
+        corrupt[SkeletonLayout(payload).tag_table_offset] ^= 0xFF
+        local = SkeletonStore(tmp_path / "s", mmap_mode=mmap_mode)
+        net = NetworkedSkeletonStore(
+            local, StaticPeer({(fingerprint, qpt_hash): bytes(corrupt)})
+        )
+        assert net.load(fingerprint, qpt_hash) is None
+        stats = net.net_stats()
+        assert stats["fetch_failed"] == 1 and stats["fell_back"] == 1
+        assert stats["fetched"] == 0
+        assert local.read_payload(fingerprint, qpt_hash) is None
 
     def test_peer_miss_falls_back_without_tripping_breaker(
         self, tmp_path, snapshot_payload

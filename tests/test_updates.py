@@ -307,29 +307,38 @@ class TestCacheMigration:
 
 class TestSkeletonPatch:
     def test_patch_shifts_only_listed_ancestors(self):
-        from repro.core.pdt import build_skeleton
+        from repro.core.pdt import build_skeleton, compress_skeleton
         from repro.core.qpt import generate_qpts
+        from repro.core.shapes import ShapeTable
         from repro.xquery.parser import parse_query
 
         db = _database()
         program = parse_query(VIEW)
         qpt = generate_qpts(program.body)["items.xml"]
-        skeleton = build_skeleton(qpt, db.get("items.xml").path_index)
+        skeleton = compress_skeleton(
+            build_skeleton(qpt, db.get("items.xml").path_index), ShapeTable()
+        )
+        tree = skeleton.tree  # held: a live shared tree is patched too
         first_item = next(
             n for n in db.get("items.xml").document.root.iter() if n.tag == "item"
         )
         # Ancestors of an edit under the first item: root, then the item.
         ancestor_keys = (DeweyID((1,)).packed, first_item.dewey.packed)
-        present = [key for key in ancestor_keys if key in skeleton.records]
+        present = [key for key in ancestor_keys if key in skeleton.keys]
         assert present, "expected at least one ancestor in the skeleton"
-        before = {
-            key: record.byte_length for key, record in skeleton.records.items()
-        }
+        before = dict(zip(skeleton.keys, skeleton.byte_lengths))
         patched = patch_skeleton_byte_lengths(skeleton, ancestor_keys, 30)
         assert patched == len(present)
-        for key, record in skeleton.records.items():
-            expected = before[key] + (30 if key in present else 0)
-            assert record.byte_length == expected
+        expected = {
+            key: length + (30 if key in present else 0)
+            for key, length in before.items()
+        }
+        assert dict(zip(skeleton.keys, skeleton.byte_lengths)) == expected
+        assert {
+            node.anno.dewey.packed: node.anno.byte_length
+            for node in tree.iter()
+            if node.anno is not None
+        } == expected
 
     def test_zero_delta_is_a_noop(self):
         assert patch_skeleton_byte_lengths(None, (), 0) == 0
